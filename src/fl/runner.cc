@@ -224,6 +224,10 @@ struct FederatedRunner::RoundLoop {
     int64_t downlink_bytes = 0;
   };
   std::vector<Pending> pending;
+  /// Transport mode: clients whose reply broke the protocol (an uplink
+  /// built for another model layout). They stay departed for the rest of
+  /// the run, like a client whose process died.
+  std::vector<uint8_t> expelled;
 
   RoundLoop(FederatedRunner* r, ParameterStore* global_store, core::Rng* g)
       : runner(r), global(global_store), rng(g),
@@ -241,7 +245,8 @@ struct FederatedRunner::RoundLoop {
         mirror(r->num_clients(), num_groups),
         tracer(r->options_.tracer),
         in_flight(static_cast<size_t>(r->num_clients()), 0),
-        pending(static_cast<size_t>(r->num_clients())) {
+        pending(static_cast<size_t>(r->num_clients())),
+        expelled(static_cast<size_t>(r->num_clients()), 0) {
     local_options.pool = pool_ptr;
     local_options.tracer = tracer;
     obs::MetricsRegistry* metrics = r->options_.metrics;
@@ -377,12 +382,18 @@ struct FederatedRunner::RoundLoop {
     for (size_t p = 0; p < replies.size(); ++p) {
       const int c = (*participants)[p];
       TransportReply& reply = replies[p];
-      if (!reply.ok) {
-        // The process died (or went silent past the read deadline) after
-        // receiving this round's broadcast: its update is lost and its
-        // cached copy of the model is gone with it, so a rejoin would be
-        // charged as a full resync — same semantics as a semi-async
-        // departure event.
+      // A reply can decode cleanly yet carry an uplink built for another
+      // model layout, which ApplyTo would reject mid-aggregation. Its
+      // sender is expelled here, before anything aggregates.
+      if (reply.ok && !reply.uplink.CheckLayout(*global).ok()) {
+        expelled[static_cast<size_t>(c)] = 1;
+      }
+      if (!reply.ok || expelled[static_cast<size_t>(c)]) {
+        // The process died (or went silent past the read deadline, or was
+        // expelled) after receiving this round's broadcast: its update is
+        // lost and its cached copy of the model is gone with it, so a
+        // rejoin would be charged as a full resync — same semantics as a
+        // semi-async departure event.
         ++record->departures;
         if (ctr_departures != nullptr) ctr_departures->Increment();
         downlink.InvalidateClient(c);
@@ -467,12 +478,15 @@ void FederatedRunner::RoundLoop::RunSyncRound(int round) {
     participants = std::move(responding);
   }
   if (transport != nullptr) {
-    // Clients whose process already departed cannot be tasked. They are
-    // filtered only *after* every selection and failure draw above, so a
-    // departure-free remote run replays the exact in-process RNG stream.
+    // Clients whose process already departed (or that were expelled)
+    // cannot be tasked. They are filtered only *after* every selection and
+    // failure draw above, so a departure-free remote run replays the exact
+    // in-process RNG stream.
     std::vector<int> alive;
     for (int c : participants) {
-      if (transport->ClientAlive(c)) alive.push_back(c);
+      if (transport->ClientAlive(c) && !expelled[static_cast<size_t>(c)]) {
+        alive.push_back(c);
+      }
     }
     participants = std::move(alive);
   }
@@ -600,6 +614,8 @@ void FederatedRunner::RoundLoop::RunSyncRound(int round) {
         // a scalar the client's mask excludes. One reconstruction lives at
         // a time, preserving the streaming server's O(model) peak memory.
         update = *global;
+        // ExecuteRemoteRound expelled every sender whose layout does not
+        // match, so this cannot fail.
         const core::Status applied = remote_uplinks[p].ApplyTo(&update);
         FEDDA_CHECK(applied.ok())
             << "uplink payload does not match the model layout (client "

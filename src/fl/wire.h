@@ -99,6 +99,12 @@ class WirePayload {
   /// the store's layout.
   [[nodiscard]] core::Status ApplyTo(tensor::ParameterStore* store) const;
 
+  /// Whether the payload matches `store`'s layout: the same group count,
+  /// in-range group ids and equal group sizes. ApplyTo fails exactly when
+  /// this does, so a receiver can reject a payload before touching state.
+  [[nodiscard]] core::Status CheckLayout(
+      const tensor::ParameterStore& store) const;
+
  private:
   friend WirePayload BuildUplinkPayload(const ActivationState& state,
                                         int client, int round,

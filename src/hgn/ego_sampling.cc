@@ -140,11 +140,15 @@ std::vector<tensor::Tensor> GatherEgoFeatures(
     const size_t t = static_cast<size_t>(graph.node_type(v));
     const tensor::Tensor& features = graph.features(
         static_cast<graph::NodeTypeId>(t));
+    tensor::Tensor& block = blocks[t];
     const int64_t src_row = graph.type_local_index(v);
     const int64_t dst_row = next_row[t]++;
-    for (int64_t c = 0; c < features.cols(); ++c) {
-      blocks[t].at(dst_row, c) = features.at(src_row, c);
-    }
+    const int64_t cols = features.cols();
+    FEDDA_CHECK(src_row >= 0 && src_row < features.rows() &&
+                dst_row < block.rows() && block.cols() == cols);
+    std::copy(features.data() + src_row * cols,
+              features.data() + (src_row + 1) * cols,
+              block.data() + dst_row * cols);
   }
   return blocks;
 }

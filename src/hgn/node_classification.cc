@@ -120,19 +120,24 @@ NodeClassificationTask::Result NodeClassificationTask::Evaluate(
       g.value(model_->Encode(&g, *graph_, mp_, store));
   const Tensor& w = store->value(head_w_id_);
   const Tensor& b = store->value(head_b_id_);
+  const int64_t dim = embeddings.cols();
+  FEDDA_CHECK(w.rows() == dim && w.cols() == num_classes_ && b.rows() == 1 &&
+              b.cols() == num_classes_);
 
   const size_t c = static_cast<size_t>(num_classes_);
   std::vector<int64_t> true_positive(c, 0), false_positive(c, 0),
       false_negative(c, 0), support(c, 0);
   int64_t correct = 0;
   for (NodeId v : eval_nodes) {
+    FEDDA_CHECK(v >= 0 && v < embeddings.rows()) << "node " << v;
+    const float* emb = embeddings.data() + static_cast<int64_t>(v) * dim;
     // argmax over emb[v] * W + b.
     int best = 0;
     double best_score = -1e30;
     for (int j = 0; j < num_classes_; ++j) {
-      double score = b.at(0, j);
-      for (int64_t d = 0; d < embeddings.cols(); ++d) {
-        score += static_cast<double>(embeddings.at(v, d)) * w.at(d, j);
+      double score = b.data()[j];
+      for (int64_t d = 0; d < dim; ++d) {
+        score += static_cast<double>(emb[d]) * w.data()[d * num_classes_ + j];
       }
       if (score > best_score) {
         best_score = score;

@@ -327,11 +327,16 @@ double SimpleHgn::ScorePair(const Tensor& embeddings, int32_t u, int32_t v,
                             int32_t edge_type,
                             const ParameterStore& store) const {
   FEDDA_CHECK(initialized_);
+  const int64_t n = embeddings.rows();
+  FEDDA_CHECK(u >= 0 && u < n && v >= 0 && v < n)
+      << "pair (" << u << "," << v << ") out of " << n << " nodes";
   const int64_t d = embeddings.cols();
+  const float* eu = embeddings.data() + u * d;
+  const float* ev = embeddings.data() + v * d;
   double score = 0.0;
   if (config_.decoder == DecoderKind::kDot) {
     for (int64_t c = 0; c < d; ++c) {
-      score += static_cast<double>(embeddings.at(u, c)) * embeddings.at(v, c);
+      score += static_cast<double>(eu[c]) * ev[c];
     }
     return score;
   }
@@ -339,9 +344,10 @@ double SimpleHgn::ScorePair(const Tensor& embeddings, int32_t u, int32_t v,
               edge_type < static_cast<int32_t>(decoder_rel_ids_.size()));
   const Tensor& rel =
       store.value(decoder_rel_ids_[static_cast<size_t>(edge_type)]);
+  FEDDA_CHECK(rel.rows() == 1 && rel.cols() == d);
+  const float* r = rel.data();
   for (int64_t c = 0; c < d; ++c) {
-    score += static_cast<double>(embeddings.at(u, c)) * rel.at(0, c) *
-             embeddings.at(v, c);
+    score += static_cast<double>(eu[c]) * r[c] * ev[c];
   }
   return score;
 }

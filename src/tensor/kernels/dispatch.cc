@@ -58,7 +58,9 @@ DispatchMode ParseDispatchMode(const char* value) {
   if (value == nullptr) return DispatchMode::kAuto;
   if (std::strcmp(value, "scalar") == 0) return DispatchMode::kScalar;
   if (std::strcmp(value, "avx2") == 0) return DispatchMode::kAvx2;
-  if (std::strcmp(value, "neon") == 0) return DispatchMode::kNeon;
+  // No NEON path is built: a NEON request runs the scalar reference, as
+  // any request for an unavailable path does.
+  if (std::strcmp(value, "neon") == 0) return DispatchMode::kScalar;
   return DispatchMode::kAuto;
 }
 
@@ -72,14 +74,10 @@ Path ActivePath() {
       return Path::kScalar;
     case DispatchMode::kAvx2:
       return Avx2Available() ? Path::kAvx2 : Path::kScalar;
-    case DispatchMode::kNeon:
-      return core::CpuHasNeon() ? Path::kNeon : Path::kScalar;
     case DispatchMode::kAuto:
       break;
   }
-  if (Avx2Available()) return Path::kAvx2;
-  if (core::CpuHasNeon()) return Path::kNeon;
-  return Path::kScalar;
+  return Avx2Available() ? Path::kAvx2 : Path::kScalar;
 }
 
 const char* PathName(Path path) {
@@ -88,8 +86,6 @@ const char* PathName(Path path) {
       return "scalar";
     case Path::kAvx2:
       return "avx2";
-    case Path::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -97,7 +93,6 @@ const char* PathName(Path path) {
 std::vector<Path> SupportedPaths() {
   std::vector<Path> paths{Path::kScalar};
   if (Avx2Available()) paths.push_back(Path::kAvx2);
-  if (core::CpuHasNeon()) paths.push_back(Path::kNeon);
   return paths;
 }
 
@@ -200,9 +195,6 @@ int64_t CsrCacheMisses() { return g_csr_misses.load(); }
     case Path::kAvx2:                        \
       avx2::fn(__VA_ARGS__);                 \
       break;                                 \
-    case Path::kNeon:                        \
-      neon::fn(__VA_ARGS__);                 \
-      break;                                 \
   }
 
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
@@ -217,6 +209,21 @@ void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
                          [=](int64_t row_begin, int64_t row_end) {
                            FEDDA_DISPATCH_PATH(path, MatMulRows, a, b, out,
                                                row_begin, row_end, k, n)
+                         });
+}
+
+void MatMulTransA(const float* a, const float* b, float* out, int64_t m,
+                  int64_t k, int64_t n, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  // Same partition as MatMul: output rows are independent, and each row's
+  // reduction runs in increasing-kk order inside one chunk.
+  const int64_t grain =
+      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
+  core::ParallelForRange(pool, m, grain,
+                         [=](int64_t row_begin, int64_t row_end) {
+                           FEDDA_DISPATCH_PATH(path, MatMulTransARows, a, b,
+                                               out, row_begin, row_end, m, k,
+                                               n)
                          });
 }
 

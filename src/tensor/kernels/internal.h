@@ -17,13 +17,16 @@
 /// the subset where vectorization cannot change bits (lane-independent
 /// elementwise work, and matmul whose per-element reduction order is fixed);
 /// when avx2.cc is built without -mavx2 its functions forward to scalar.
-/// `neon` is a porting stub that forwards to scalar (AArch64 hosts still
-/// run correctly; vector bodies can land per-function later).
 
 namespace fedda::tensor::kernels::scalar {
 
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
                 int64_t row_end, int64_t k, int64_t n);
+/// Rows [row_begin, row_end) of out (m x n) += aᵀ * b, where a is (k x m)
+/// and is read column-wise.
+void MatMulTransARows(const float* a, const float* b, float* out,
+                      int64_t row_begin, int64_t row_end, int64_t m,
+                      int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwMulAdd(const float* a, const float* b, const float* c, float* out,
@@ -74,6 +77,9 @@ bool KernelsCompiled();
 
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
                 int64_t row_end, int64_t k, int64_t n);
+void MatMulTransARows(const float* a, const float* b, float* out,
+                      int64_t row_begin, int64_t row_end, int64_t m,
+                      int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwMulAdd(const float* a, const float* b, const float* c, float* out,
@@ -102,38 +108,5 @@ void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end);
 
 }  // namespace fedda::tensor::kernels::avx2
-
-namespace fedda::tensor::kernels::neon {
-
-void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
-                int64_t row_end, int64_t k, int64_t n);
-void EwMul(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end);
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end);
-void EwAdd(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end);
-void EwSub(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end);
-void AccumulateAdd(float* dst, const float* src, int64_t begin, int64_t end);
-void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
-                    int64_t end);
-void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
-                   int64_t end);
-void Scale(float* dst, float alpha, int64_t begin, int64_t end);
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end);
-void BiasAddRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope);
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst);
-void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
-                         float* out, int64_t row_begin, int64_t row_end);
-
-}  // namespace fedda::tensor::kernels::neon
 
 #endif  // FEDDA_TENSOR_KERNELS_INTERNAL_H_

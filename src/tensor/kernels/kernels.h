@@ -16,7 +16,7 @@ namespace fedda::tensor::kernels {
 /// Every kernel here is *bit-exact across dispatch paths*: the vectorized
 /// implementations only reorganize lane-independent arithmetic (separate
 /// mul and add, never FMA; reductions keep the scalar path's accumulation
-/// order), so scalar, AVX2, and NEON produce byte-identical outputs. The
+/// order), so the scalar and AVX2 paths produce byte-identical outputs. The
 /// kernel-equivalence suite (tests/tensor/kernel_equivalence_test.cc)
 /// enforces this for every kernel under every available path × {0,1,4}
 /// threads; the golden-run suite enforces it end to end.
@@ -31,16 +31,17 @@ namespace fedda::tensor::kernels {
 
 /// What the process is asked to run. kAuto resolves to the best path the
 /// CPU and build support. Initialized once from FEDDA_KERNEL_DISPATCH
-/// (scalar|avx2|neon|auto, default auto); tests override programmatically.
-enum class DispatchMode : uint8_t { kAuto, kScalar, kAvx2, kNeon };
+/// (scalar|avx2|auto, default auto); tests override programmatically.
+enum class DispatchMode : uint8_t { kAuto, kScalar, kAvx2 };
 
 /// What actually executes. A mode requesting an unavailable path resolves
 /// to kScalar (graceful, never fatal: the scalar path is always correct).
-enum class Path : uint8_t { kScalar, kAvx2, kNeon };
+enum class Path : uint8_t { kScalar, kAvx2 };
 
 DispatchMode dispatch_mode();
 void SetDispatchMode(DispatchMode mode);
-/// Parses "scalar"/"avx2"/"neon"/"auto"; anything else (and null) -> kAuto.
+/// Parses "scalar"/"avx2"/"auto"; "neon" (no NEON path is built) ->
+/// kScalar; anything else (and null) -> kAuto.
 DispatchMode ParseDispatchMode(const char* value);
 
 /// The path the current mode resolves to on this machine.
@@ -109,6 +110,13 @@ int64_t CsrCacheMisses();
 /// every path does it).
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n, core::ThreadPool* pool);
+
+/// out (m x n) += aᵀ * b for a (k x m) and b (k x n), reading `a`
+/// column-wise instead of materializing its transpose. Same i-k-j order and
+/// zero-skip as MatMul, so the result is bit-identical to MatMul on an
+/// explicitly transposed copy of `a`, on every path and thread count.
+void MatMulTransA(const float* a, const float* b, float* out, int64_t m,
+                  int64_t k, int64_t n, core::ThreadPool* pool);
 
 /// out[i] = a[i] * b[i].
 void EwMul(const float* a, const float* b, float* out, int64_t n,

@@ -11,20 +11,43 @@ namespace fedda::tensor::kernels::scalar {
 // reassociation), and every vectorized path is tested bit-for-bit against
 // them. Change nothing here without regenerating every golden suite.
 
-void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
-                int64_t row_end, int64_t k, int64_t n) {
+namespace {
+
+// Element (i, kk) of the left operand sits at a[i * i_stride + kk *
+// k_stride]; strides (1, m) read a (k x m) matrix column-wise as its
+// transpose. Both entry points share this one loop body, so the transposed
+// kernel is the plain one with only the load address changed.
+inline void MatMulRowsImpl(const float* a, const float* b, float* out,
+                           int64_t row_begin, int64_t row_end,
+                           int64_t i_stride, int64_t k_stride, int64_t k,
+                           int64_t n) {
   // i-k-j order: streams through B rows, cache-friendly for row-major. The
   // zero-skip is semantic, not just fast: skipping `0 * b[j]` also skips the
   // NaN that 0 * inf would produce, so every path must skip identically.
   for (int64_t i = row_begin; i < row_end; ++i) {
     for (int64_t kk = 0; kk < k; ++kk) {
-      const float aval = a[i * k + kk];
+      const float aval = a[i * i_stride + kk * k_stride];
       if (aval == 0.0f) continue;
       const float* brow = b + kk * n;
       float* orow = out + i * n;
       for (int64_t j = 0; j < n; ++j) orow[j] += aval * brow[j];
     }
   }
+}
+
+}  // namespace
+
+void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
+                int64_t row_end, int64_t k, int64_t n) {
+  MatMulRowsImpl(a, b, out, row_begin, row_end, /*i_stride=*/k,
+                 /*k_stride=*/1, k, n);
+}
+
+void MatMulTransARows(const float* a, const float* b, float* out,
+                      int64_t row_begin, int64_t row_end, int64_t m,
+                      int64_t k, int64_t n) {
+  MatMulRowsImpl(a, b, out, row_begin, row_end, /*i_stride=*/1,
+                 /*k_stride=*/m, k, n);
 }
 
 void EwMul(const float* a, const float* b, float* out, int64_t begin,

@@ -46,6 +46,35 @@ void ParallelChunks(const Graph* g, int64_t n, int64_t grain,
   core::ParallelForRange(g->pool(), n, grain, fn);
 }
 
+/// The value of a 1 x 1 tensor (a scalar loss or its incoming gradient).
+float ScalarValue(const Tensor& t) {
+  FEDDA_CHECK_EQ(t.size(), 1);
+  return t.data()[0];
+}
+
+/// dst[r, c] += s[r] * x[r, c] over (rows x cols) row-major buffers, one
+/// chunk of destination rows per task: every element keeps the serial
+/// expression, so any partition is bit-identical. Callers check shapes.
+void AccumulateRowScaled(const Graph* g, const float* s, const float* x,
+                         float* dst, int64_t rows, int64_t cols) {
+  ParallelChunks(g, rows, RowGrain(cols),
+                 [=](int64_t begin, int64_t end) {
+                   for (int64_t r = begin; r < end; ++r) {
+                     const float f = s[r];
+                     const float* xrow = x + r * cols;
+                     float* drow = dst + r * cols;
+                     for (int64_t c = 0; c < cols; ++c) drow[c] += f * xrow[c];
+                   }
+                 });
+}
+
+/// Dot product of two length-`cols` rows, accumulated left to right.
+float RowDotProduct(const float* x, const float* y, int64_t cols) {
+  float dot = 0.0f;
+  for (int64_t c = 0; c < cols; ++c) dot += x[c] * y[c];
+  return dot;
+}
+
 }  // namespace
 
 std::shared_ptr<const std::vector<int32_t>> MakeIndices(
@@ -191,13 +220,17 @@ Var MatMul(Graph* g, Var a, Var b) {
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
         const Tensor& dy = bg->grad(self);
+        // dA = dy * Bᵀ transposes only B, the small weight. dB = Aᵀ * dy
+        // reads the activation-sized A column-wise instead of copying it.
+        // Each product fills a zeroed temp that is then added into the
+        // grad; accumulating in place would reorder the grad's sums.
         if (bg->requires_grad(a)) {
           bg->mutable_grad(a).Add(
               MatMulValue(dy, bg->value(b).Transposed(), bg->pool()));
         }
         if (bg->requires_grad(b)) {
           bg->mutable_grad(b).Add(
-              MatMulValue(bg->value(a).Transposed(), dy, bg->pool()));
+              MatMulTransAValue(bg->value(a), dy, bg->pool()));
         }
       },
       rg);
@@ -215,10 +248,12 @@ Var AddBias(Graph* g, Var a, Var bias) {
     }
     if (bg->requires_grad(bias)) {
       Tensor& db = bg->mutable_grad(bias);
+      const int64_t cols = dy.cols();
+      FEDDA_CHECK(db.rows() == 1 && db.cols() == cols);
+      float* dbp = db.data();
       for (int64_t r = 0; r < dy.rows(); ++r) {
-        for (int64_t c = 0; c < dy.cols(); ++c) {
-          db.at(0, c) += dy.at(r, c);
-        }
+        const float* dyrow = dy.data() + r * cols;
+        for (int64_t c = 0; c < cols; ++c) dbp[c] += dyrow[c];
       }
     }
   };
@@ -441,14 +476,13 @@ Var Log(Graph* g, Var a) {
 
 Var Sum(Graph* g, Var a) {
   const Tensor& av = g->value(a);
-  Tensor out(1, 1);
-  out.at(0, 0) = static_cast<float>(av.Sum());
+  Tensor out = Tensor::Full(1, 1, static_cast<float>(av.Sum()));
   const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
         if (!bg->requires_grad(a)) return;
-        const float dy = bg->grad(self).at(0, 0);
+        const float dy = ScalarValue(bg->grad(self));
         Tensor& da = bg->mutable_grad(a);
         for (int64_t i = 0; i < da.size(); ++i) da.data()[i] += dy;
       },
@@ -458,15 +492,14 @@ Var Sum(Graph* g, Var a) {
 Var Mean(Graph* g, Var a) {
   const Tensor& av = g->value(a);
   FEDDA_CHECK_GT(av.size(), 0);
-  Tensor out(1, 1);
-  out.at(0, 0) = static_cast<float>(av.Mean());
+  Tensor out = Tensor::Full(1, 1, static_cast<float>(av.Mean()));
   const bool rg = g->requires_grad(a);
   const float inv = 1.0f / static_cast<float>(av.size());
   return g->AddNode(
       std::move(out), {a},
       [a, inv](Graph* bg, Var self) {
         if (!bg->requires_grad(a)) return;
-        const float dy = bg->grad(self).at(0, 0) * inv;
+        const float dy = ScalarValue(bg->grad(self)) * inv;
         Tensor& da = bg->mutable_grad(a);
         for (int64_t i = 0; i < da.size(); ++i) da.data()[i] += dy;
       },
@@ -668,14 +701,16 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
       g, rows, RowGrain(cols),
       [&out, &av, norms, cols, eps](int64_t begin, int64_t end) {
         for (int64_t r = begin; r < end; ++r) {
+          const float* arow = av.data() + r * cols;
+          float* orow = out.data() + r * cols;
           double sq = 0.0;
           for (int64_t c = 0; c < cols; ++c) {
-            const float x = av.at(r, c);
+            const float x = arow[c];
             sq += static_cast<double>(x) * x;
           }
           const float n = std::max(static_cast<float>(std::sqrt(sq)), eps);
           norms[r] = n;
-          for (int64_t c = 0; c < cols; ++c) out.at(r, c) = av.at(r, c) / n;
+          for (int64_t c = 0; c < cols; ++c) orow[c] = arow[c] / n;
         }
       });
   const bool rg = g->requires_grad(a);
@@ -686,19 +721,23 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& da = bg->mutable_grad(a);
+        FEDDA_CHECK(yv.SameShape(dy) && da.SameShape(dy));
         const int64_t n_rows = dy.rows(), n_cols = dy.cols();
+        const float* dyp = dy.data();
+        const float* yp = yv.data();
+        float* dap = da.data();
         ParallelChunks(
             bg, n_rows, RowGrain(n_cols),
-            [&da, &dy, &yv, norms, n_cols](int64_t begin, int64_t end) {
+            [=](int64_t begin, int64_t end) {
               for (int64_t r = begin; r < end; ++r) {
                 // da_r = (dy_r - y_r * (y_r . dy_r)) / ||a_r||
-                float dot = 0.0f;
-                for (int64_t c = 0; c < n_cols; ++c) {
-                  dot += yv.at(r, c) * dy.at(r, c);
-                }
+                const float* dyrow = dyp + r * n_cols;
+                const float* yrow = yp + r * n_cols;
+                float* darow = dap + r * n_cols;
+                const float dot = RowDotProduct(yrow, dyrow, n_cols);
                 const float inv_n = 1.0f / norms[r];
                 for (int64_t c = 0; c < n_cols; ++c) {
-                  da.at(r, c) += (dy.at(r, c) - yv.at(r, c) * dot) * inv_n;
+                  darow[c] += (dyrow[c] - yrow[c] * dot) * inv_n;
                 }
               }
             });
@@ -710,15 +749,13 @@ Var RowDot(Graph* g, Var a, Var b) {
   const Tensor& av = g->value(a);
   const Tensor& bv = g->value(b);
   FEDDA_CHECK(av.SameShape(bv));
+  const int64_t cols = av.cols();
   Tensor out(av.rows(), 1);
-  ParallelChunks(g, av.rows(), RowGrain(av.cols()),
-                 [&out, &av, &bv](int64_t begin, int64_t end) {
+  ParallelChunks(g, av.rows(), RowGrain(cols),
+                 [&out, &av, &bv, cols](int64_t begin, int64_t end) {
                    for (int64_t r = begin; r < end; ++r) {
-                     float dot = 0.0f;
-                     for (int64_t c = 0; c < av.cols(); ++c) {
-                       dot += av.at(r, c) * bv.at(r, c);
-                     }
-                     out.at(r, 0) = dot;
+                     out.data()[r] = RowDotProduct(av.data() + r * cols,
+                                                   bv.data() + r * cols, cols);
                    }
                  });
   const bool rg = AnyRequiresGrad(*g, {a, b});
@@ -728,23 +765,20 @@ Var RowDot(Graph* g, Var a, Var b) {
         const Tensor& dy = bg->grad(self);
         const Tensor& a_in = bg->value(a);
         const Tensor& b_in = bg->value(b);
+        const int64_t rows = a_in.rows(), n_cols = a_in.cols();
+        FEDDA_CHECK(a_in.SameShape(b_in) && dy.rows() == rows &&
+                    dy.cols() == 1);
         if (bg->requires_grad(a)) {
           Tensor& da = bg->mutable_grad(a);
-          for (int64_t r = 0; r < a_in.rows(); ++r) {
-            const float d = dy.at(r, 0);
-            for (int64_t c = 0; c < a_in.cols(); ++c) {
-              da.at(r, c) += d * b_in.at(r, c);
-            }
-          }
+          FEDDA_CHECK(da.SameShape(a_in));
+          AccumulateRowScaled(bg, dy.data(), b_in.data(), da.data(), rows,
+                              n_cols);
         }
         if (bg->requires_grad(b)) {
           Tensor& db = bg->mutable_grad(b);
-          for (int64_t r = 0; r < a_in.rows(); ++r) {
-            const float d = dy.at(r, 0);
-            for (int64_t c = 0; c < a_in.cols(); ++c) {
-              db.at(r, c) += d * a_in.at(r, c);
-            }
-          }
+          FEDDA_CHECK(db.SameShape(a_in));
+          AccumulateRowScaled(bg, dy.data(), a_in.data(), db.data(), rows,
+                              n_cols);
         }
       },
       rg);
@@ -755,14 +789,15 @@ Var RowScale(Graph* g, Var a, Var s) {
   const Tensor& sv = g->value(s);
   FEDDA_CHECK_EQ(sv.cols(), 1);
   FEDDA_CHECK_EQ(sv.rows(), av.rows());
-  Tensor out(av.rows(), av.cols());
-  ParallelChunks(g, av.rows(), RowGrain(av.cols()),
-                 [&out, &av, &sv](int64_t begin, int64_t end) {
+  const int64_t cols = av.cols();
+  Tensor out(av.rows(), cols);
+  ParallelChunks(g, av.rows(), RowGrain(cols),
+                 [&out, &av, &sv, cols](int64_t begin, int64_t end) {
                    for (int64_t r = begin; r < end; ++r) {
-                     const float f = sv.at(r, 0);
-                     for (int64_t c = 0; c < av.cols(); ++c) {
-                       out.at(r, c) = f * av.at(r, c);
-                     }
+                     const float f = sv.data()[r];
+                     const float* arow = av.data() + r * cols;
+                     float* orow = out.data() + r * cols;
+                     for (int64_t c = 0; c < cols; ++c) orow[c] = f * arow[c];
                    }
                  });
   const bool rg = AnyRequiresGrad(*g, {a, s});
@@ -772,24 +807,28 @@ Var RowScale(Graph* g, Var a, Var s) {
         const Tensor& dy = bg->grad(self);
         const Tensor& a_in = bg->value(a);
         const Tensor& s_in = bg->value(s);
+        const int64_t rows = dy.rows(), n_cols = dy.cols();
+        FEDDA_CHECK(a_in.SameShape(dy) && s_in.rows() == rows &&
+                    s_in.cols() == 1);
         if (bg->requires_grad(a)) {
           Tensor& da = bg->mutable_grad(a);
-          for (int64_t r = 0; r < dy.rows(); ++r) {
-            const float f = s_in.at(r, 0);
-            for (int64_t c = 0; c < dy.cols(); ++c) {
-              da.at(r, c) += f * dy.at(r, c);
-            }
-          }
+          FEDDA_CHECK(da.SameShape(dy));
+          AccumulateRowScaled(bg, s_in.data(), dy.data(), da.data(), rows,
+                              n_cols);
         }
         if (bg->requires_grad(s)) {
           Tensor& ds = bg->mutable_grad(s);
-          for (int64_t r = 0; r < dy.rows(); ++r) {
-            float dot = 0.0f;
-            for (int64_t c = 0; c < dy.cols(); ++c) {
-              dot += a_in.at(r, c) * dy.at(r, c);
-            }
-            ds.at(r, 0) += dot;
-          }
+          FEDDA_CHECK(ds.SameShape(s_in));
+          const float* ap = a_in.data();
+          const float* dyp = dy.data();
+          float* dsp = ds.data();
+          ParallelChunks(bg, rows, RowGrain(n_cols),
+                         [=](int64_t begin, int64_t end) {
+                           for (int64_t r = begin; r < end; ++r) {
+                             dsp[r] += RowDotProduct(ap + r * n_cols,
+                                                     dyp + r * n_cols, n_cols);
+                           }
+                         });
         }
       },
       rg);
@@ -803,25 +842,28 @@ Var BceWithLogits(Graph* g, Var logits, const Tensor& labels) {
   // Stable form: loss_i = max(z,0) - z*y + log(1 + exp(-|z|)).
   double total = 0.0;
   for (int64_t i = 0; i < zv.rows(); ++i) {
-    const float z = zv.at(i, 0);
-    const float y = labels.at(i, 0);
+    const float z = zv.data()[i];
+    const float y = labels.data()[i];
     total += std::max(z, 0.0f) - z * y + std::log1p(std::exp(-std::fabs(z)));
   }
-  Tensor out(1, 1);
-  out.at(0, 0) = static_cast<float>(total / zv.rows());
+  Tensor out = Tensor::Full(1, 1, static_cast<float>(total / zv.rows()));
   const bool rg = g->requires_grad(logits);
   auto labels_copy = std::make_shared<Tensor>(labels);
   return g->AddNode(
       std::move(out), {logits},
       [logits, labels_copy](Graph* bg, Var self) {
         if (!bg->requires_grad(logits)) return;
-        const float dy = bg->grad(self).at(0, 0);
+        const float dy = ScalarValue(bg->grad(self));
         const Tensor& z_in = bg->value(logits);
         Tensor& dz = bg->mutable_grad(logits);
+        FEDDA_CHECK(dz.SameShape(z_in) && labels_copy->SameShape(z_in));
+        const float* zp = z_in.data();
+        const float* yp = labels_copy->data();
+        float* dzp = dz.data();
         const float inv_n = 1.0f / static_cast<float>(z_in.rows());
         for (int64_t i = 0; i < z_in.rows(); ++i) {
-          const float sig = 1.0f / (1.0f + std::exp(-z_in.at(i, 0)));
-          dz.at(i, 0) += dy * (sig - labels_copy->at(i, 0)) * inv_n;
+          const float sig = 1.0f / (1.0f + std::exp(-zp[i]));
+          dzp[i] += dy * (sig - yp[i]) * inv_n;
         }
       },
       rg);
@@ -841,36 +883,41 @@ Var SoftmaxCrossEntropy(Graph* g, Var logits,
   for (int64_t i = 0; i < n; ++i) {
     const int32_t label = (*labels)[static_cast<size_t>(i)];
     FEDDA_CHECK(label >= 0 && label < c) << "label out of range";
-    float row_max = zv.at(i, 0);
-    for (int64_t j = 1; j < c; ++j) row_max = std::max(row_max, zv.at(i, j));
+    const float* zrow = zv.data() + i * c;
+    float* prow = softmax->data() + i * c;
+    float row_max = zrow[0];
+    for (int64_t j = 1; j < c; ++j) row_max = std::max(row_max, zrow[j]);
     double sum_exp = 0.0;
     for (int64_t j = 0; j < c; ++j) {
-      const float e = std::exp(zv.at(i, j) - row_max);
-      softmax->at(i, j) = e;
+      const float e = std::exp(zrow[j] - row_max);
+      prow[j] = e;
       sum_exp += e;
     }
     for (int64_t j = 0; j < c; ++j) {
-      softmax->at(i, j) = static_cast<float>(softmax->at(i, j) / sum_exp);
+      prow[j] = static_cast<float>(prow[j] / sum_exp);
     }
     // -log softmax[label] in the shifted form.
-    total += std::log(sum_exp) - (zv.at(i, label) - row_max);
+    total += std::log(sum_exp) - (zrow[label] - row_max);
   }
-  Tensor out(1, 1);
-  out.at(0, 0) = static_cast<float>(total / static_cast<double>(n));
+  Tensor out =
+      Tensor::Full(1, 1, static_cast<float>(total / static_cast<double>(n)));
   const bool rg = g->requires_grad(logits);
   return g->AddNode(
       std::move(out), {logits},
       [logits, labels, softmax](Graph* bg, Var self) {
         if (!bg->requires_grad(logits)) return;
-        const float dy = bg->grad(self).at(0, 0);
+        const float dy = ScalarValue(bg->grad(self));
         Tensor& dz = bg->mutable_grad(logits);
+        FEDDA_CHECK(dz.SameShape(*softmax));
         const int64_t n_rows = softmax->rows(), n_classes = softmax->cols();
         const float inv_n = 1.0f / static_cast<float>(n_rows);
         for (int64_t i = 0; i < n_rows; ++i) {
           const int32_t label = (*labels)[static_cast<size_t>(i)];
+          const float* prow = softmax->data() + i * n_classes;
+          float* dzrow = dz.data() + i * n_classes;
           for (int64_t j = 0; j < n_classes; ++j) {
             const float onehot = j == label ? 1.0f : 0.0f;
-            dz.at(i, j) += dy * (softmax->at(i, j) - onehot) * inv_n;
+            dzrow[j] += dy * (prow[j] - onehot) * inv_n;
           }
         }
       },

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "core/string_util.h"
 #include "core/thread_pool.h"
@@ -133,12 +134,23 @@ double Tensor::MaxAbs() const {
 
 Tensor Tensor::Transposed() const {
   Tensor out(cols_, rows_);
+  const float* src = data_.data();
+  float* dst = out.data_.data();
   for (int64_t r = 0; r < rows_; ++r) {
     for (int64_t c = 0; c < cols_; ++c) {
-      out.at(c, r) = at(r, c);
+      dst[c * rows_ + r] = src[r * cols_ + c];
     }
   }
   return out;
+}
+
+void Tensor::IndexOutOfRange(int64_t r, int64_t c) const {
+  core::internal::CheckFailureStream(
+      "FEDDA_CHECK", __FILE__, __LINE__,
+      "r >= 0 && r < rows_ && c >= 0 && c < cols_")
+      << "index (" << r << "," << c << ") out of [" << rows_ << "," << cols_
+      << ")";
+  std::abort();  // Unreachable: the stream aborts when it is destroyed.
 }
 
 bool Tensor::Equals(const Tensor& other) const {
@@ -177,6 +189,15 @@ Tensor MatMulValue(const Tensor& a, const Tensor& b, core::ThreadPool* pool) {
   Tensor out(a.rows(), b.cols());
   kernels::MatMul(a.data(), b.data(), out.data(), a.rows(), a.cols(),
                   b.cols(), pool);
+  return out;
+}
+
+Tensor MatMulTransAValue(const Tensor& a, const Tensor& b,
+                         core::ThreadPool* pool) {
+  FEDDA_CHECK_EQ(a.rows(), b.rows());
+  Tensor out(a.cols(), b.cols());
+  kernels::MatMulTransA(a.data(), b.data(), out.data(), a.cols(), a.rows(),
+                        b.cols(), pool);
   return out;
 }
 

@@ -71,16 +71,15 @@ class Tensor {
   int64_t size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
 
+  /// Bounds-checked element access, for API and cold code. The failure
+  /// path is out of line, so a call inlines to one compare-and-branch; hot
+  /// loops still check shapes once on entry and index data() instead.
   float& at(int64_t r, int64_t c) {
-    FEDDA_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_)
-        << "index (" << r << "," << c << ") out of [" << rows_ << ","
-        << cols_ << ")";
+    if (!InBounds(r, c)) [[unlikely]] IndexOutOfRange(r, c);
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
   float at(int64_t r, int64_t c) const {
-    FEDDA_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_)
-        << "index (" << r << "," << c << ") out of [" << rows_ << ","
-        << cols_ << ")";
+    if (!InBounds(r, c)) [[unlikely]] IndexOutOfRange(r, c);
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
 
@@ -131,6 +130,12 @@ class Tensor {
   std::string ToString() const;
 
  private:
+  bool InBounds(int64_t r, int64_t c) const {
+    return r >= 0 && r < rows_ && c >= 0 && c < cols_;
+  }
+  /// Aborts with the index and shape (at()'s failure path).
+  [[noreturn, gnu::cold]] void IndexOutOfRange(int64_t r, int64_t c) const;
+
   int64_t rows_;
   int64_t cols_;
   std::vector<float> data_;
@@ -141,6 +146,12 @@ class Tensor {
 /// unchanged, so the result is bit-identical to the sequential path.
 Tensor MatMulValue(const Tensor& a, const Tensor& b,
                    core::ThreadPool* pool = nullptr);
+
+/// C = Aᵀ * B. Shapes: (k x m)ᵀ * (k x n) -> (m x n). Reads A column-wise
+/// instead of building A.Transposed(); bit-identical to
+/// MatMulValue(a.Transposed(), b, pool).
+Tensor MatMulTransAValue(const Tensor& a, const Tensor& b,
+                         core::ThreadPool* pool = nullptr);
 
 }  // namespace fedda::tensor
 

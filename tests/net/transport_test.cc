@@ -27,6 +27,7 @@
 #include "fl/wire.h"
 #include "net/framing.h"
 #include "net/socket.h"
+#include "obs/metrics_registry.h"
 #include "tensor/parameter_store.h"
 
 namespace fedda::net {
@@ -399,10 +400,13 @@ TEST(SocketTransportTest, WrongFingerprintFailsAcceptAndClient) {
 // ---- partial failure -----------------------------------------------------
 
 /// A protocol-speaking impostor for client `client_id`: handshakes like a
-/// real client, then follows `after_task` when the first round task lands.
+/// real client, then follows `mode` when the first round task lands.
 enum class FailureMode {
   kCloseOnTask,   // kill -9 analog: the kernel EOFs the server mid-round
   kSilentOnTask,  // wedged process: never replies, server must time out
+  // Hostile client: a well-formed reply whose uplink was built for another
+  // model layout (3 groups), then waits for the server to shut it down.
+  kWrongLayoutReply,
 };
 
 void RunDoomedClient(const std::string& address, int client_id,
@@ -424,17 +428,36 @@ void RunDoomedClient(const std::string& address, int client_id,
     socket.Close();
     return;
   }
-  // Silent: hold the socket open, reply with nothing, and wait for the
-  // server to give up and close it (ReadFrame then fails with EOF).
+  if (mode == FailureMode::kWrongLayoutReply) {
+    RoundReplyMessage reply;
+    reply.client = client_id;
+    reply.round = 0;
+    reply.loss = 0.5;
+    reply.uplink =
+        fl::BuildDenseUplinkPayload({0, 1, 2}, client_id, 0, MakeStore(5));
+    ASSERT_TRUE(
+        WriteFrame(&socket, FrameType::kRoundReply, EncodeRoundReply(reply))
+            .ok());
+  }
+  // Hold the socket open and wait for the server: a silent impostor waits
+  // until the server gives up and closes it (ReadFrame then fails with
+  // EOF); an expelled one until the run ends and the server shuts it down.
   Frame never;
   (void)ReadFrame(&socket, 120.0, &never);
 }
 
-void RunDepartureScenario(FailureMode mode, const char* tag,
-                          double reply_timeout_sec) {
+/// Runs the FedAvg test config over a socket transport whose last client
+/// is an impostor following `mode`; the others are real remote clients.
+/// `transport` receives the server side for post-run inspection, and
+/// `metrics` (optional) the run's counters.
+fl::FlRunResult RunWithImpostor(FailureMode mode, const char* tag,
+                                double reply_timeout_sec,
+                                std::unique_ptr<SocketTransport>* transport,
+                                obs::MetricsRegistry* metrics = nullptr) {
   const fl::FederatedSystem system =
       fl::FederatedSystem::Build(TestSystemConfig());
   fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
+  options.metrics = metrics;
 
   const uint64_t fingerprint = Fingerprint64(tag);
   ServerOptions server;
@@ -443,41 +466,55 @@ void RunDepartureScenario(FailureMode mode, const char* tag,
   server.fingerprint = fingerprint;
   server.accept_timeout_sec = 60.0;
   server.reply_timeout_sec = reply_timeout_sec;
-  std::unique_ptr<SocketTransport> transport;
-  ASSERT_TRUE(SocketTransport::Create(server, &transport).ok());
+  const core::Status created = SocketTransport::Create(server, transport);
+  EXPECT_TRUE(created.ok()) << created.ToString();
+  if (!created.ok()) return {};
 
   const int doomed = system.num_clients() - 1;
   std::vector<core::Status> statuses(static_cast<size_t>(doomed),
                                      core::Status::OK());
   std::vector<std::thread> peers;
   for (int c = 0; c < doomed; ++c) {
-    peers.emplace_back(RunRemoteClient, options, transport->address(), c,
+    peers.emplace_back(RunRemoteClient, options, (*transport)->address(), c,
                        fingerprint, /*round_timeout_sec=*/120.0,
                        &statuses[static_cast<size_t>(c)]);
   }
-  peers.emplace_back(RunDoomedClient, transport->address(), doomed,
+  peers.emplace_back(RunDoomedClient, (*transport)->address(), doomed,
                      fingerprint, mode);
-  const core::Status accepted = transport->AcceptClients();
-  ASSERT_TRUE(accepted.ok()) << accepted.ToString();
-
-  options.transport = transport.get();
-  const fl::FlRunResult result = fl::RunFederated(system, options, kRunSeed);
-  transport->Shutdown();
+  const core::Status accepted = (*transport)->AcceptClients();
+  EXPECT_TRUE(accepted.ok()) << accepted.ToString();
+  fl::FlRunResult result;
+  if (accepted.ok()) {
+    options.transport = transport->get();
+    result = fl::RunFederated(system, options, kRunSeed);
+  }
+  (*transport)->Shutdown();
   for (std::thread& peer : peers) peer.join();
   for (const core::Status& status : statuses) {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
+  return result;
+}
+
+void RunDepartureScenario(FailureMode mode, const char* tag,
+                          double reply_timeout_sec) {
+  std::unique_ptr<SocketTransport> transport;
+  const fl::FlRunResult result =
+      RunWithImpostor(mode, tag, reply_timeout_sec, &transport);
+  const int num_clients = TestSystemConfig().partition.num_clients;
+  const int doomed = num_clients - 1;
+  const fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
 
   // The run completed every round; the victim's loss surfaced as exactly
   // one recorded departure in round 0, and later rounds simply ran without
   // it (ClientAlive filters it before tasking).
   ASSERT_EQ(result.history.size(), static_cast<size_t>(options.rounds));
   EXPECT_EQ(result.history[0].departures, 1);
-  EXPECT_EQ(result.history[0].participants, system.num_clients() - 1);
+  EXPECT_EQ(result.history[0].participants, num_clients - 1);
   for (int r = 1; r < options.rounds; ++r) {
     EXPECT_EQ(result.history[static_cast<size_t>(r)].departures, 0);
     EXPECT_EQ(result.history[static_cast<size_t>(r)].participants,
-              system.num_clients() - 1);
+              num_clients - 1);
   }
   EXPECT_EQ(transport->stats().departures, 1);
   EXPECT_FALSE(transport->ClientAlive(doomed));
@@ -504,6 +541,34 @@ TEST(SocketTransportTest, SilentPeerTimesOutIntoADeparture) {
   // minute. Live clients answer in milliseconds over loopback.
   RunDepartureScenario(FailureMode::kSilentOnTask, "timeout-departure",
                        /*reply_timeout_sec=*/1.0);
+}
+
+TEST(SocketTransportTest, WrongLayoutReplyBecomesADepartureNotAnAbort) {
+  // Regression: a protocol-valid reply whose payload was built for another
+  // layout used to pass DecodeRoundReply and then abort the server in
+  // WirePayload::ApplyTo during aggregation.
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<SocketTransport> transport;
+  const fl::FlRunResult result =
+      RunWithImpostor(FailureMode::kWrongLayoutReply, "layout-impostor",
+                      /*reply_timeout_sec=*/60.0, &transport, &metrics);
+  const fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
+  ASSERT_EQ(result.history.size(), static_cast<size_t>(options.rounds));
+  int departures = 0;
+  for (const fl::RoundRecord& record : result.history) {
+    departures += record.departures;
+  }
+  EXPECT_EQ(departures, 1);
+  EXPECT_EQ(result.history[0].departures, 1);
+  EXPECT_EQ(metrics.AddCounter("fl.departures")->value(), 1);
+
+  // The honest clients see exactly the run in which the impostor's slot
+  // dropped out in round 0 without sending anything.
+  std::unique_ptr<SocketTransport> reference_transport;
+  const fl::FlRunResult reference =
+      RunWithImpostor(FailureMode::kCloseOnTask, "layout-reference",
+                      /*reply_timeout_sec=*/60.0, &reference_transport);
+  ExpectSameHistory(result, reference);
 }
 
 // ---- hostile round tasks -------------------------------------------------

@@ -35,8 +35,6 @@ k::DispatchMode ModeFor(k::Path path) {
       return k::DispatchMode::kScalar;
     case k::Path::kAvx2:
       return k::DispatchMode::kAvx2;
-    case k::Path::kNeon:
-      return k::DispatchMode::kNeon;
   }
   return k::DispatchMode::kScalar;
 }
@@ -77,6 +75,19 @@ std::vector<float> RandomData(int64_t n, core::Rng* rng) {
   return out;
 }
 
+/// (rows x cols) row-major -> its (cols x rows) transpose.
+std::vector<float> Transpose(const std::vector<float>& a, int64_t rows,
+                             int64_t cols) {
+  std::vector<float> out(a.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      out[static_cast<size_t>(c * rows + r)] =
+          a[static_cast<size_t>(r * cols + c)];
+    }
+  }
+  return out;
+}
+
 class KernelEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<k::Path, int>> {
  protected:
@@ -94,12 +105,19 @@ class KernelEquivalenceTest
   /// runs start from identical state.
   template <typename Fn>
   void RunCase(const std::string& what, Fn&& make_output) {
+    RunCase(what, make_output, make_output);
+  }
+
+  /// As above, with a separate reference: `reference` runs on the scalar
+  /// path inline, `candidate` on the parameterized path and pool.
+  template <typename Ref, typename Fn>
+  void RunCase(const std::string& what, Ref&& reference, Fn&& candidate) {
     k::SetDispatchMode(k::DispatchMode::kScalar);
     ASSERT_EQ(k::ActivePath(), k::Path::kScalar);
-    const std::vector<float> expected = make_output(nullptr);
+    const std::vector<float> expected = reference(nullptr);
     k::SetDispatchMode(ModeFor(path_));
     ASSERT_EQ(k::ActivePath(), path_);
-    const std::vector<float> actual = make_output(pool());
+    const std::vector<float> actual = candidate(pool());
     ASSERT_EQ(expected.size(), actual.size()) << what;
     if (expected.empty()) return;
     if (std::memcmp(expected.data(), actual.data(),
@@ -112,6 +130,27 @@ class KernelEquivalenceTest
           << expected[i] << " vs " << actual[i] << ") on path "
           << k::PathName(path_);
     }
+  }
+
+  /// The transposed-operand kernel against its contract: MatMulTransA(a, b)
+  /// must equal the scalar MatMul on an explicit transposed copy of `a`, byte
+  /// for byte, on every path and thread count.
+  void RunTransACase(const std::string& what, const std::vector<float>& a,
+                     const std::vector<float>& b, int64_t m, int64_t kd,
+                     int64_t n) {
+    const std::vector<float> at = Transpose(a, kd, m);
+    RunCase(
+        what,
+        [&](core::ThreadPool* p) {
+          std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+          k::MatMul(at.data(), b.data(), out.data(), m, kd, n, p);
+          return out;
+        },
+        [&](core::ThreadPool* p) {
+          std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+          k::MatMulTransA(a.data(), b.data(), out.data(), m, kd, n, p);
+          return out;
+        });
   }
 
   DispatchGuard guard_;
@@ -167,6 +206,49 @@ TEST_P(KernelEquivalenceTest, MatMulZeroSkipIsSemantic) {
     for (float v : out) EXPECT_FALSE(std::isnan(v));
     return out;
   });
+}
+
+TEST_P(KernelEquivalenceTest, MatMulTransAMatchesTransposedCopy) {
+  // (m, k, n) with a (k x m): n = 1 is the attention-vector case (a_src /
+  // a_dst weights, k = node count); the rest put n on and off the 8-lane
+  // and 64-column boundaries, with m = 1 and k = 1 edges.
+  const struct {
+    int64_t m, k_dim, n;
+  } shapes[] = {{0, 0, 0},   {0, 3, 2},   {1, 1, 1},    {3, 5, 7},
+                {8, 2, 8},   {16, 333, 1}, {8, 1000, 1}, {1, 9, 71},
+                {4, 3, 64},  {2, 2, 65},  {5, 17, 130}, {37, 129, 9},
+                {64, 50, 16}, {7, 1, 9}};
+  core::Rng rng(4321);
+  for (const auto& s : shapes) {
+    const std::vector<float> a = RandomData(s.k_dim * s.m, &rng);
+    const std::vector<float> b = RandomData(s.k_dim * s.n, &rng);
+    RunTransACase("matmul-trans-a " + std::to_string(s.m) + "x" +
+                      std::to_string(s.k_dim) + "x" + std::to_string(s.n),
+                  a, b, s.m, s.k_dim, s.n);
+  }
+}
+
+TEST_P(KernelEquivalenceTest, MatMulTransAZeroSkipIsSemantic) {
+  // As MatMulZeroSkipIsSemantic, through the transposed operand: B rows
+  // reached only through zero entries of A's columns hold inf/NaN and must
+  // never be read into the output.
+  const int64_t m = 3, kd = 4, n = 19;
+  std::vector<float> a(static_cast<size_t>(kd * m), 0.0f);
+  a[1 * m + 0] = 2.0f;   // output row 0 uses only B row 1
+  a[3 * m + 1] = -1.5f;  // output row 1 uses only B row 3
+  // column 2 of A is all zeros -> output row 2 stays exactly zero.
+  std::vector<float> b(static_cast<size_t>(kd * n));
+  for (int64_t r = 0; r < kd; ++r) {
+    const float fill = r == 1   ? 0.5f
+                       : r == 3 ? -0.25f
+                       : r == 0 ? std::numeric_limits<float>::infinity()
+                                : std::numeric_limits<float>::quiet_NaN();
+    for (int64_t c = 0; c < n; ++c) b[static_cast<size_t>(r * n + c)] = fill;
+  }
+  RunTransACase("matmul-trans-a-zero-skip", a, b, m, kd, n);
+  std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+  k::MatMulTransA(a.data(), b.data(), out.data(), m, kd, n, pool());
+  for (float v : out) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST_P(KernelEquivalenceTest, ElementwiseAndAccumulate) {
@@ -418,22 +500,22 @@ TEST(DispatchPolicyTest, ParseDispatchMode) {
   EXPECT_EQ(k::ParseDispatchMode("auto"), k::DispatchMode::kAuto);
   EXPECT_EQ(k::ParseDispatchMode("scalar"), k::DispatchMode::kScalar);
   EXPECT_EQ(k::ParseDispatchMode("avx2"), k::DispatchMode::kAvx2);
-  EXPECT_EQ(k::ParseDispatchMode("neon"), k::DispatchMode::kNeon);
+  // No NEON path is built: a NEON request runs the scalar reference.
+  EXPECT_EQ(k::ParseDispatchMode("neon"), k::DispatchMode::kScalar);
   EXPECT_EQ(k::ParseDispatchMode("bogus"), k::DispatchMode::kAuto);
 }
 
 TEST(DispatchPolicyTest, UnavailablePathFallsBackToScalar) {
   DispatchGuard guard;
-  // At most one of AVX2/NEON can be available; the other must degrade to
-  // scalar instead of crashing.
+  // A request for a path this host or build lacks degrades to scalar
+  // instead of crashing; NEON is never built.
   k::SetDispatchMode(k::DispatchMode::kAvx2);
   const k::Path avx2 = k::ActivePath();
-  k::SetDispatchMode(k::DispatchMode::kNeon);
-  const k::Path neon = k::ActivePath();
-  EXPECT_TRUE(avx2 == k::Path::kScalar || neon == k::Path::kScalar);
   if (!k::Avx2Available()) {
     EXPECT_EQ(avx2, k::Path::kScalar);
   }
+  k::SetDispatchMode(k::ParseDispatchMode("neon"));
+  EXPECT_EQ(k::ActivePath(), k::Path::kScalar);
 }
 
 TEST(DispatchPolicyTest, SupportedPathsAlwaysIncludesScalar) {

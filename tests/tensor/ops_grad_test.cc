@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -474,6 +475,55 @@ TEST(OpsPooledTest, PooledKernelsBitIdenticalToSequential) {
         ASSERT_EQ(a.data()[k], b.data()[k])
             << "workers=" << workers << " grad " << i << " scalar " << k;
       }
+    }
+  }
+}
+
+// RowScale, RowDot and RowL2Normalize run their backward passes in
+// destination-row chunks. 6000 rows of width 7 span three chunks of the
+// 16384-scalar row grain, so a 4-worker pool really splits every closure.
+ForwardBackwardResult RunRowOpsExpression(core::ThreadPool* pool) {
+  constexpr int kRows = 6000;
+  constexpr int kCols = 7;
+  ForwardBackwardResult result;
+  result.grads.emplace_back(kRows, kCols);
+  result.grads.emplace_back(kRows, kCols);
+  result.grads.emplace_back(kRows, 1);
+  Graph g(/*training=*/true);
+  g.set_pool(pool);
+  Var a = g.Leaf(RandomTensor(kRows, kCols, 51), &result.grads[0]);
+  Var b = g.Leaf(RandomTensor(kRows, kCols, 52), &result.grads[1]);
+  Var s = g.Leaf(RandomTensor(kRows, 1, 53), &result.grads[2]);
+  // Random output weights make every incoming gradient distinct.
+  Var w_scaled = g.Constant(RandomTensor(kRows, kCols, 54));
+  Var w_dot = g.Constant(RandomTensor(kRows, 1, 55));
+  Var w_norm = g.Constant(RandomTensor(kRows, kCols, 56));
+  Var loss = Add(
+      &g,
+      Add(&g, Sum(&g, Mul(&g, RowScale(&g, a, s), w_scaled)),
+          Sum(&g, Mul(&g, RowDot(&g, a, b), w_dot))),
+      Sum(&g, Mul(&g, RowL2Normalize(&g, b), w_norm)));
+  result.loss = g.value(loss).at(0, 0);
+  g.Backward(loss);
+  return result;
+}
+
+TEST(OpsPooledTest, RowOpBackwardsBitIdenticalAcrossThreadCounts) {
+  const ForwardBackwardResult sequential = RunRowOpsExpression(nullptr);
+  for (int workers : {1, 4}) {
+    core::ThreadPool pool(workers);
+    const ForwardBackwardResult pooled = RunRowOpsExpression(&pool);
+    EXPECT_EQ(std::memcmp(&sequential.loss, &pooled.loss, sizeof(float)), 0)
+        << "workers=" << workers;
+    ASSERT_EQ(sequential.grads.size(), pooled.grads.size());
+    for (size_t i = 0; i < sequential.grads.size(); ++i) {
+      const Tensor& x = sequential.grads[i];
+      const Tensor& y = pooled.grads[i];
+      ASSERT_TRUE(x.SameShape(y));
+      EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                            static_cast<size_t>(x.size()) * sizeof(float)),
+                0)
+          << "workers=" << workers << " grad " << i;
     }
   }
 }

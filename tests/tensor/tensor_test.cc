@@ -1,6 +1,7 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,19 @@ TEST(MatMulValueTest, MatchesManualProduct) {
   EXPECT_EQ(c.at(1, 1), 154.0f);
 }
 
+TEST(MatMulValueTest, TransAMatchesTransposedCopyBitwise) {
+  core::Rng rng(10);
+  Tensor a = Tensor::RandomNormal(37, 5, &rng);
+  a.at(3, 2) = 0.0f;  // exercise the zero-skip
+  Tensor b = Tensor::RandomNormal(37, 3, &rng);
+  const Tensor expected = MatMulValue(a.Transposed(), b);
+  const Tensor actual = MatMulTransAValue(a, b);
+  ASSERT_TRUE(actual.SameShape(expected));
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        static_cast<size_t>(actual.size()) * sizeof(float)),
+            0);
+}
+
 TEST(MatMulValueTest, IdentityIsNeutral) {
   core::Rng rng(9);
   Tensor a = Tensor::RandomNormal(4, 4, &rng);
@@ -140,6 +154,19 @@ TEST(TensorDeathTest, OutOfBoundsAccessAborts) {
   Tensor t(2, 2);
   EXPECT_DEATH(t.at(2, 0), "out of");
   EXPECT_DEATH(t.at(0, -1), "out of");
+}
+
+TEST(TensorDeathTest, OutOfBoundsMessageNamesIndexAndShape) {
+  // at()'s failure path is out of line; the abort message is unchanged:
+  // the failed bound, then the index and the shape.
+  Tensor t(2, 3);
+  const Tensor& ct = t;
+  EXPECT_DEATH(t.at(5, 1),
+               "FEDDA_CHECK failure at .*tensor\\.cc:[0-9]+: r >= 0 && r < "
+               "rows_ && c >= 0 && c < cols_ index \\( 5 , 1 \\) out of "
+               "\\[ 2 , 3 \\)");
+  EXPECT_DEATH((void)ct.at(1, 3),
+               "index \\( 1 , 3 \\) out of \\[ 2 , 3 \\)");
 }
 
 TEST(TensorDeathTest, ShapeMismatchAborts) {

@@ -56,6 +56,15 @@ sanitizer can catch these, only a static scan can):
                            kernel-equivalence suite stay authoritative
                            (DESIGN.md §13).
 
+Hot-path rule:
+
+  hot-checked-access       Bounds-checked `.at(` / `->at(` in
+                           src/tensor/ops.cc or src/tensor/kernels/*.cc.
+                           These are the per-element training loops: each
+                           op checks shapes once on entry and then indexes
+                           data(); at() belongs to API and cold code
+                           (DESIGN.md, tensor accessor policy).
+
 Allowlist: tools/lint_allowlist.txt suppresses a (rule, file) pair. Every
 entry must carry a justification after `--`; entries without one, and
 entries that no longer suppress anything, are themselves violations
@@ -124,6 +133,11 @@ SIMD_INTRINSIC_RE = re.compile(
 SIMD_INCLUDE_RE = re.compile(
     r'#\s*include\s*[<"](?:immintrin|x86intrin|xmmintrin|emmintrin|'
     r'smmintrin|avxintrin|arm_neon)\.h[>"]')
+
+# The hot tensor loops: ops.cc and every kernel TU directly under kernels/.
+HOT_ACCESS_FILES = ("src/tensor/ops.cc",)
+HOT_ACCESS_DIR = "src/tensor/kernels/"
+CHECKED_ACCESS_RE = re.compile(r"(?:\.|->)\s*at\s*\(")
 
 RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(.*?:\s*[&*]?([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*\)")
@@ -526,6 +540,26 @@ def check_simd_scope(root: Path, errors: list[Violation]) -> None:
                     "(DESIGN.md §13)"))
 
 
+def check_hot_checked_access(root: Path, errors: list[Violation]) -> None:
+    """hot-checked-access: the tensor hot loops index data() after one
+    shape check on entry, never the bounds-checked at(). Comments and
+    strings are stripped first, so mentioning at() is fine."""
+    for path in src_files(root):
+        rel = rel_posix(root, path)
+        in_kernels = (rel.startswith(HOT_ACCESS_DIR) and path.suffix == ".cc"
+                      and "/" not in rel[len(HOT_ACCESS_DIR):])
+        if rel not in HOT_ACCESS_FILES and not in_kernels:
+            continue
+        clean = strip_comments_and_strings(path.read_text())
+        for lineno, line in enumerate(clean.splitlines(), 1):
+            if CHECKED_ACCESS_RE.search(line):
+                errors.append(Violation(
+                    rel, lineno, "hot-checked-access",
+                    "bounds-checked at() in a tensor hot loop — check "
+                    "shapes once on entry and index data() (DESIGN.md, "
+                    "tensor accessor policy)"))
+
+
 def check_unordered_iteration(root: Path, errors: list[Violation]) -> None:
     """det-unordered-iter: range-for over an unordered container where the
     iteration order can reach numerics or serialized bytes."""
@@ -617,6 +651,7 @@ def run(root: Path, allowlist: Path | None = None,
     check_fuzz_targets(root, errors)
     check_ambient_entropy(root, errors)
     check_simd_scope(root, errors)
+    check_hot_checked_access(root, errors)
     check_unordered_iteration(root, errors)
     if allowlist is None:
         allowlist = root / ALLOWLIST_NAME

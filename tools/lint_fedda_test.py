@@ -143,6 +143,42 @@ class SimdScopeRule(unittest.TestCase):
                 "vadd_helper(a, b);\n"}), [])
 
 
+class HotCheckedAccessRule(unittest.TestCase):
+    def test_at_flagged_in_ops(self):
+        errors = lint({
+            "src/tensor/ops.cc":
+                "void F(Tensor& t) {\n  t.at(0, 1) += 1.0f;\n}\n"})
+        self.assertEqual(rules_of(errors), {"hot-checked-access"})
+        self.assertIn("src/tensor/ops.cc:2", errors[0])
+
+    def test_arrow_at_flagged_in_kernel_tu(self):
+        errors = lint({
+            "src/tensor/kernels/avx2.cc": "float v = p->at(i, 0);\n"})
+        self.assertEqual(rules_of(errors), {"hot-checked-access"})
+
+    def test_raw_indexing_passes(self):
+        self.assertEqual(lint({
+            "src/tensor/ops.cc":
+                "const float* row = t.data() + r * cols;\n"
+                "float v = row[c]; auto w = t.attr(x); at_end(y);\n"}), [])
+
+    def test_mention_in_comment_or_string_passes(self):
+        self.assertEqual(lint({
+            "src/tensor/ops.cc":
+                "// at() stays out of the hot loops; see tensor.at(r, c)\n"
+                'const char* kNote = "t.at(0, 0)";\n'}), [])
+
+    def test_at_outside_hot_files_passes(self):
+        self.assertEqual(lint({
+            "src/tensor/tensor.cc": "float v = t.at(0, 0);\n",
+            "src/tensor/kernels/helper.h":
+                "#ifndef FEDDA_TENSOR_KERNELS_HELPER_H_\n"
+                "#define FEDDA_TENSOR_KERNELS_HELPER_H_\n"
+                "inline float F(const T& t) { return t.at(0, 0); }\n"
+                "#endif  // FEDDA_TENSOR_KERNELS_HELPER_H_\n",
+            "src/hgn/simple_hgn.cc": "float v = t.at(0, 0);\n"}), [])
+
+
 class UnorderedIterationRule(unittest.TestCase):
     FL_LOOP = (
         "#include <unordered_map>\n"
