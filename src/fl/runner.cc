@@ -63,6 +63,19 @@ void ValidateOptions(const FlOptions& options, size_t num_clients) {
   }
 }
 
+/// Whether a remote reply's loss and every uplink value are finite. One
+/// NaN or Inf folded into the streaming aggregate would poison the global
+/// model for every client in every later round.
+bool AllFinite(const TransportReply& reply) {
+  if (!std::isfinite(reply.loss)) return false;
+  for (const WireGroup& entry : reply.uplink.groups()) {
+    for (float v : entry.values) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 FederatedRunner::FederatedRunner(const hgn::SimpleHgn* model,
@@ -383,9 +396,11 @@ struct FederatedRunner::RoundLoop {
       const int c = (*participants)[p];
       TransportReply& reply = replies[p];
       // A reply can decode cleanly yet carry an uplink built for another
-      // model layout, which ApplyTo would reject mid-aggregation. Its
+      // model layout, which ApplyTo would reject mid-aggregation, or a
+      // non-finite loss or value, which would poison the aggregate. Its
       // sender is expelled here, before anything aggregates.
-      if (reply.ok && !reply.uplink.CheckLayout(*global).ok()) {
+      if (reply.ok &&
+          (!reply.uplink.CheckLayout(*global).ok() || !AllFinite(reply))) {
         expelled[static_cast<size_t>(c)] = 1;
       }
       if (!reply.ok || expelled[static_cast<size_t>(c)]) {

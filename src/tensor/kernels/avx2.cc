@@ -197,20 +197,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t begin,
   for (; i < end; ++i) out[i] = a[i] * b[i];
 }
 
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256 prod =
-        _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(out + i, _mm256_add_ps(prod, _mm256_loadu_ps(c + i)));
-  }
-  for (; i < end; ++i) {
-    const float prod = a[i] * b[i];
-    out[i] = prod + c[i];
-  }
-}
-
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   int64_t i = begin;
@@ -314,27 +300,6 @@ void BiasAddRows(const float* x, const float* bias, float* out,
   }
 }
 
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope) {
-  const __m256 vslope = _mm256_set1_ps(slope);
-  const __m256 vzero = _mm256_setzero_ps();
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m256 v =
-          _mm256_add_ps(_mm256_loadu_ps(xrow + c), _mm256_loadu_ps(bias + c));
-      _mm256_storeu_ps(orow + c, LeakyReluVec(v, vslope, vzero));
-    }
-    for (; c < cols; ++c) {
-      const float v = xrow[c] + bias[c];
-      orow[c] = v > 0.0f ? v : slope * v;
-    }
-  }
-}
-
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
                                int64_t i_begin, int64_t i_end, int64_t cols,
                                float* dst) {
@@ -386,10 +351,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   scalar::EwMul(a, b, out, begin, end);
 }
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end) {
-  scalar::EwMulAdd(a, b, c, out, begin, end);
-}
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   scalar::EwAdd(a, b, out, begin, end);
@@ -419,11 +380,6 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols) {
   scalar::BiasAddRows(x, bias, out, row_begin, row_end, cols);
-}
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope) {
-  scalar::BiasLeakyReluRows(x, bias, out, row_begin, row_end, cols, slope);
 }
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
                                int64_t i_begin, int64_t i_end, int64_t cols,

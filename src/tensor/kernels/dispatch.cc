@@ -32,18 +32,6 @@ std::atomic<uint8_t>& ModeStorage() {
   return mode;
 }
 
-bool ParseFusionEnv() {
-  const char* v = std::getenv("FEDDA_KERNEL_FUSION");
-  if (v == nullptr) return true;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
-}
-
-std::atomic<bool>& FusionStorage() {
-  static std::atomic<bool> fusion{ParseFusionEnv()};
-  return fusion;
-}
-
 }  // namespace
 
 DispatchMode dispatch_mode() {
@@ -95,10 +83,6 @@ std::vector<Path> SupportedPaths() {
   if (Avx2Available()) paths.push_back(Path::kAvx2);
   return paths;
 }
-
-bool FusionEnabled() { return FusionStorage().load(); }
-
-void SetFusionEnabled(bool enabled) { FusionStorage().store(enabled); }
 
 // ---------------------------------------------------------------------------
 // CSR grouping + cache
@@ -237,16 +221,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t n,
                          });
 }
 
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t n, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, EwMulAdd, a, b, c, out,
-                                               begin, end)
-                         });
-}
-
 void EwAdd(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool) {
   const Path path = ActivePath();
@@ -324,46 +298,6 @@ void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
                          [=](int64_t row_begin, int64_t row_end) {
                            FEDDA_DISPATCH_PATH(path, BiasAddRows, x, bias,
                                                out, row_begin, row_end, cols)
-                         });
-}
-
-void BiasLeakyRelu(const float* x, const float* bias, float* out,
-                   int64_t rows, int64_t cols, float slope,
-                   core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(
-      pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_PATH(path, BiasLeakyReluRows, x, bias, out, row_begin,
-                            row_end, cols, slope)
-      });
-}
-
-// The exp-based fused forwards run the scalar body on every path: a
-// vectorized exp() approximation would change bits.
-void BiasSigmoid(const float* x, const float* bias, float* out, int64_t rows,
-                 int64_t cols, core::ThreadPool* pool) {
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           scalar::BiasSigmoidRows(x, bias, out, row_begin,
-                                                   row_end, cols);
-                         });
-}
-
-void BiasTanh(const float* x, const float* bias, float* out, int64_t rows,
-              int64_t cols, core::ThreadPool* pool) {
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           scalar::BiasTanhRows(x, bias, out, row_begin,
-                                                row_end, cols);
-                         });
-}
-
-void BiasElu(const float* x, const float* bias, float* out, int64_t rows,
-             int64_t cols, float alpha, core::ThreadPool* pool) {
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           scalar::BiasEluRows(x, bias, out, row_begin,
-                                               row_end, cols, alpha);
                          });
 }
 

@@ -29,8 +29,6 @@ void MatMulTransARows(const float* a, const float* b, float* out,
                       int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end);
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwSub(const float* a, const float* b, float* out, int64_t begin,
@@ -45,16 +43,6 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope);
-void BiasSigmoidRows(const float* x, const float* bias, float* out,
-                     int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasTanhRows(const float* x, const float* bias, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasEluRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols,
-                 float alpha);
 void GatherRowsRange(const float* src, const int32_t* idx, int64_t i_begin,
                      int64_t i_end, int64_t cols, float* out);
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
@@ -82,8 +70,6 @@ void MatMulTransARows(const float* a, const float* b, float* out,
                       int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end);
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwSub(const float* a, const float* b, float* out, int64_t begin,
@@ -98,9 +84,6 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope);
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
                                int64_t i_begin, int64_t i_end, int64_t cols,
                                float* dst);

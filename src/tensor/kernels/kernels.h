@@ -21,9 +21,8 @@ namespace fedda::tensor::kernels {
 /// enforces this for every kernel under every available path × {0,1,4}
 /// threads; the golden-run suite enforces it end to end.
 ///
-/// Exp-based kernels (segment-softmax, the sigmoid/tanh/elu fused
-/// forwards) deliberately stay scalar under every path — a vectorized
-/// exp() approximation would change bits.
+/// Exp-based kernels (segment-softmax) deliberately stay scalar under every
+/// path — a vectorized exp() approximation would change bits.
 
 // ---------------------------------------------------------------------------
 // Dispatch policy
@@ -51,14 +50,6 @@ const char* PathName(Path path);
 std::vector<Path> SupportedPaths();
 /// True when avx2.cc was compiled with -mavx2 AND the CPU reports AVX2.
 bool Avx2Available();
-
-/// Elementwise-chain fusion switch (mul+add, bias+activation) consulted by
-/// Graph at construction. Initialized once from FEDDA_KERNEL_FUSION
-/// ("0"/"off" disables; default on). Fusion never changes bits: fused
-/// forwards compute the identical per-element expression in one pass, and
-/// the backward tape is unchanged.
-bool FusionEnabled();
-void SetFusionEnabled(bool enabled);
 
 // ---------------------------------------------------------------------------
 // CSR grouping for gather / scatter / segment-softmax
@@ -121,9 +112,6 @@ void MatMulTransA(const float* a, const float* b, float* out, int64_t m,
 /// out[i] = a[i] * b[i].
 void EwMul(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool);
-/// out[i] = a[i] * b[i] + c[i] (separate mul and add — never FMA).
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t n, core::ThreadPool* pool);
 /// out[i] = a[i] + b[i].
 void EwAdd(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool);
@@ -150,17 +138,6 @@ void LeakyRelu(const float* a, float* out, int64_t n, float slope,
 /// out[r,c] = x[r,c] + bias[c]; x is (rows x cols), bias is (1 x cols).
 void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
              int64_t cols, core::ThreadPool* pool);
-/// Fused bias + leaky-relu: out[r,c] = lrelu(x[r,c] + bias[c]).
-void BiasLeakyRelu(const float* x, const float* bias, float* out,
-                   int64_t rows, int64_t cols, float slope,
-                   core::ThreadPool* pool);
-/// Fused bias + sigmoid / tanh / elu. Scalar on every path (exp-based).
-void BiasSigmoid(const float* x, const float* bias, float* out, int64_t rows,
-                 int64_t cols, core::ThreadPool* pool);
-void BiasTanh(const float* x, const float* bias, float* out, int64_t rows,
-              int64_t cols, core::ThreadPool* pool);
-void BiasElu(const float* x, const float* bias, float* out, int64_t rows,
-             int64_t cols, float alpha, core::ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // CSR-native gather / scatter / segment kernels

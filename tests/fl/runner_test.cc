@@ -161,6 +161,10 @@ TEST_F(RunnerTest, MetricsStayInValidRanges) {
     EXPECT_LE(record.mrr, 1.0);
     EXPECT_GE(record.mean_local_loss, 0.0);
     EXPECT_GT(record.uplink_groups, 0);
+    // SimulateTiming relies on this: a round that trained measured bytes.
+    if (record.participants > 0) {
+      EXPECT_GT(record.max_uplink_bytes, 0);
+    }
   }
 }
 

@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,7 +409,24 @@ enum class FailureMode {
   // Hostile client: a well-formed reply whose uplink was built for another
   // model layout (3 groups), then waits for the server to shut it down.
   kWrongLayoutReply,
+  // Hostile clients: a reply with the right layout but a NaN uplink value
+  // (or an infinite loss), then waits for the server to shut it down.
+  kNonFiniteReply,
+  kNonFiniteLoss,
 };
+
+/// A dense uplink with the test model's exact layout, so it passes every
+/// layout check; with `poison`, its first value is NaN.
+fl::WirePayload RightLayoutUplink(int client_id, bool poison) {
+  ParameterStore params =
+      fl::FederatedSystem::Build(TestSystemConfig()).MakeInitialStore(1);
+  if (poison) {
+    params.value(0).data()[0] = std::numeric_limits<float>::quiet_NaN();
+  }
+  std::vector<int> groups(static_cast<size_t>(params.num_groups()));
+  std::iota(groups.begin(), groups.end(), 0);
+  return fl::BuildDenseUplinkPayload(groups, client_id, 0, params);
+}
 
 void RunDoomedClient(const std::string& address, int client_id,
                      uint64_t fingerprint, FailureMode mode) {
@@ -428,13 +447,21 @@ void RunDoomedClient(const std::string& address, int client_id,
     socket.Close();
     return;
   }
-  if (mode == FailureMode::kWrongLayoutReply) {
+  if (mode == FailureMode::kWrongLayoutReply ||
+      mode == FailureMode::kNonFiniteReply ||
+      mode == FailureMode::kNonFiniteLoss) {
     RoundReplyMessage reply;
     reply.client = client_id;
     reply.round = 0;
-    reply.loss = 0.5;
+    reply.loss = mode == FailureMode::kNonFiniteLoss
+                     ? std::numeric_limits<double>::infinity()
+                     : 0.5;
     reply.uplink =
-        fl::BuildDenseUplinkPayload({0, 1, 2}, client_id, 0, MakeStore(5));
+        mode == FailureMode::kWrongLayoutReply
+            ? fl::BuildDenseUplinkPayload({0, 1, 2}, client_id, 0,
+                                          MakeStore(5))
+            : RightLayoutUplink(client_id,
+                                mode == FailureMode::kNonFiniteReply);
     ASSERT_TRUE(
         WriteFrame(&socket, FrameType::kRoundReply, EncodeRoundReply(reply))
             .ok());
@@ -543,15 +570,15 @@ TEST(SocketTransportTest, SilentPeerTimesOutIntoADeparture) {
                        /*reply_timeout_sec=*/1.0);
 }
 
-TEST(SocketTransportTest, WrongLayoutReplyBecomesADepartureNotAnAbort) {
-  // Regression: a protocol-valid reply whose payload was built for another
-  // layout used to pass DecodeRoundReply and then abort the server in
-  // WirePayload::ApplyTo during aggregation.
+/// Runs a hostile-reply impostor and checks that the server expelled it as
+/// exactly one departure, leaving the honest clients the same history as a
+/// run in which the impostor closed its socket on the first task.
+void ExpectReplyExpelledAsDeparture(FailureMode mode, const char* tag,
+                                    const char* reference_tag) {
   obs::MetricsRegistry metrics;
   std::unique_ptr<SocketTransport> transport;
-  const fl::FlRunResult result =
-      RunWithImpostor(FailureMode::kWrongLayoutReply, "layout-impostor",
-                      /*reply_timeout_sec=*/60.0, &transport, &metrics);
+  const fl::FlRunResult result = RunWithImpostor(
+      mode, tag, /*reply_timeout_sec=*/60.0, &transport, &metrics);
   const fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
   ASSERT_EQ(result.history.size(), static_cast<size_t>(options.rounds));
   int departures = 0;
@@ -566,9 +593,27 @@ TEST(SocketTransportTest, WrongLayoutReplyBecomesADepartureNotAnAbort) {
   // dropped out in round 0 without sending anything.
   std::unique_ptr<SocketTransport> reference_transport;
   const fl::FlRunResult reference =
-      RunWithImpostor(FailureMode::kCloseOnTask, "layout-reference",
+      RunWithImpostor(FailureMode::kCloseOnTask, reference_tag,
                       /*reply_timeout_sec=*/60.0, &reference_transport);
   ExpectSameHistory(result, reference);
+}
+
+TEST(SocketTransportTest, WrongLayoutReplyBecomesADepartureNotAnAbort) {
+  // Regression: a protocol-valid reply whose payload was built for another
+  // layout used to pass DecodeRoundReply and then abort the server in
+  // WirePayload::ApplyTo during aggregation.
+  ExpectReplyExpelledAsDeparture(FailureMode::kWrongLayoutReply,
+                                 "layout-impostor", "layout-reference");
+}
+
+TEST(SocketTransportTest, NonFiniteReplyBecomesADepartureNotAPoisonedModel) {
+  // Regression: a reply carrying a NaN uplink value or an infinite loss
+  // passed the layout check and was folded into the global model or the
+  // round's mean loss.
+  ExpectReplyExpelledAsDeparture(FailureMode::kNonFiniteReply,
+                                 "nan-impostor", "nan-reference");
+  ExpectReplyExpelledAsDeparture(FailureMode::kNonFiniteLoss,
+                                 "inf-loss-impostor", "inf-loss-reference");
 }
 
 // ---- hostile round tasks -------------------------------------------------

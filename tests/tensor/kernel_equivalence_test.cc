@@ -256,17 +256,11 @@ TEST_P(KernelEquivalenceTest, ElementwiseAndAccumulate) {
   for (int64_t n : kTailSizes) {
     const std::vector<float> a = RandomData(n, &rng);
     const std::vector<float> b = RandomData(n, &rng);
-    const std::vector<float> c = RandomData(n, &rng);
     const std::vector<float> seed = RandomData(n, &rng);
     const std::string tag = " n=" + std::to_string(n);
     RunCase("ewmul" + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(a.size());
       k::EwMul(a.data(), b.data(), out.data(), n, p);
-      return out;
-    });
-    RunCase("ewmuladd" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(a.size());
-      k::EwMulAdd(a.data(), b.data(), c.data(), out.data(), n, p);
       return out;
     });
     RunCase("ewadd" + tag, [&](core::ThreadPool* p) {
@@ -370,27 +364,6 @@ TEST_P(KernelEquivalenceTest, BiasKernels) {
     RunCase("bias-add" + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(out_size);
       k::BiasAdd(x.data(), bias.data(), out.data(), s.rows, s.cols, p);
-      return out;
-    });
-    RunCase("bias-leaky-relu" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasLeakyRelu(x.data(), bias.data(), out.data(), s.rows, s.cols,
-                       0.2f, p);
-      return out;
-    });
-    RunCase("bias-sigmoid" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasSigmoid(x.data(), bias.data(), out.data(), s.rows, s.cols, p);
-      return out;
-    });
-    RunCase("bias-tanh" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasTanh(x.data(), bias.data(), out.data(), s.rows, s.cols, p);
-      return out;
-    });
-    RunCase("bias-elu" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasElu(x.data(), bias.data(), out.data(), s.rows, s.cols, 1.0f, p);
       return out;
     });
   }

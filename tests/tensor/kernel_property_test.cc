@@ -77,16 +77,10 @@ TEST_F(KernelPropertyTest, RandomizedElementwise) {
     const int64_t n =
         8 * static_cast<int64_t>(rng.UniformInt(uint64_t{12})) + (iter % 8);
     const std::vector<float> a = RandomData(n, &rng);
-    const std::vector<float> b = RandomData(n, &rng);
     const std::vector<float> c = RandomData(n, &rng);
     const float alpha = static_cast<float>(rng.Uniform(-2.0, 2.0));
     const std::string tag = "iter " + std::to_string(iter) + " n=" +
                             std::to_string(n);
-    CheckAllPaths("ewmuladd " + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(a.size());
-      k::EwMulAdd(a.data(), b.data(), c.data(), out.data(), n, p);
-      return out;
-    });
     CheckAllPaths("axpy " + tag, [&](core::ThreadPool* p) {
       std::vector<float> dst = c;
       k::AccumulateAxpy(dst.data(), alpha, a.data(), n, p);
@@ -131,10 +125,9 @@ TEST_F(KernelPropertyTest, RandomizedBiasAndScatter) {
     const std::vector<float> x = RandomData(rows * cols, &rng);
     const std::vector<float> bias = RandomData(cols, &rng);
     const std::string tag = "iter " + std::to_string(iter);
-    CheckAllPaths("bias-leaky-relu " + tag, [&](core::ThreadPool* p) {
+    CheckAllPaths("bias-add " + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(x.size());
-      k::BiasLeakyRelu(x.data(), bias.data(), out.data(), rows, cols, 0.2f,
-                       p);
+      k::BiasAdd(x.data(), bias.data(), out.data(), rows, cols, p);
       return out;
     });
 
