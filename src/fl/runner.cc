@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "core/logging.h"
@@ -182,8 +183,8 @@ void FederatedRunner::UpdateActivation(
   }
 }
 
-/// Shared per-run state and the two round drivers. One instance lives for
-/// the whole Run(): the pool, activation state, downlink versions, event
+/// Shared per-run state and the round driver. One instance lives for the
+/// whole Run(): the pool, activation state, downlink versions, event
 /// queue, and in-flight bookkeeping all persist across rounds.
 struct FederatedRunner::RoundLoop {
   FederatedRunner* runner;
@@ -191,7 +192,9 @@ struct FederatedRunner::RoundLoop {
   core::Rng* rng;
   bool is_fedda;
   bool scalar_gran;
+  bool semi_async;
   int num_groups;
+  std::vector<int> all_groups;
 
   ActivationState state;
   core::Rng eval_rng;
@@ -226,20 +229,29 @@ struct FederatedRunner::RoundLoop {
   /// Client has an update (or a scheduled departure) in flight and must not
   /// be re-broadcast until the event is processed.
   std::vector<uint8_t> in_flight;
-  /// Uplink accounting and loss of the in-flight update, captured when it
-  /// was scheduled (the masks in force when the client trained) and charged
-  /// when it arrives.
+  /// Loss and uplink accounting of a client's latest update, captured when
+  /// its training ended (under the masks it trained with) and charged when
+  /// the update arrives: the same round on a synchronous server, possibly a
+  /// later one on a semi-async server. Over a transport it also holds the
+  /// uplink that crossed the wire.
   struct Pending {
     double loss = 0.0;
     int64_t uplink_groups = 0;
     int64_t uplink_scalars = 0;
     int64_t uplink_bytes = 0;
     int64_t downlink_bytes = 0;
+    WirePayload remote_uplink;
   };
   std::vector<Pending> pending;
-  /// Transport mode: clients whose reply broke the protocol (an uplink
-  /// built for another model layout). They stay departed for the rest of
-  /// the run, like a client whose process died.
+  /// An update reaching the server this round, and the age in rounds of
+  /// the broadcast it trained on.
+  struct Arrival {
+    int client = 0;
+    int staleness = 0;
+  };
+  /// Transport mode: clients whose reply broke the protocol (an uplink of
+  /// the wrong shape, or a non-finite value). They stay departed for the
+  /// rest of the run, like a client whose process died.
   std::vector<uint8_t> expelled;
 
   RoundLoop(FederatedRunner* r, ParameterStore* global_store, core::Rng* g)
@@ -247,7 +259,10 @@ struct FederatedRunner::RoundLoop {
         is_fedda(r->options_.algorithm != FlAlgorithm::kFedAvg),
         scalar_gran(r->options_.activation.granularity ==
                     ActivationGranularity::kScalar),
+        semi_async(r->options_.aggregation_mode ==
+                   AggregationMode::kSemiAsync),
         num_groups(global_store->num_groups()),
+        all_groups(static_cast<size_t>(num_groups)),
         state(r->num_clients(), *global_store, r->options_.activation),
         eval_rng(g->Split()),
         pool(r->options_.worker_threads),
@@ -260,6 +275,7 @@ struct FederatedRunner::RoundLoop {
         in_flight(static_cast<size_t>(r->num_clients()), 0),
         pending(static_cast<size_t>(r->num_clients())),
         expelled(static_cast<size_t>(r->num_clients()), 0) {
+    std::iota(all_groups.begin(), all_groups.end(), 0);
     local_options.pool = pool_ptr;
     local_options.tracer = tracer;
     obs::MetricsRegistry* metrics = r->options_.metrics;
@@ -292,15 +308,16 @@ struct FederatedRunner::RoundLoop {
   }
 
   /// Charges the requested-and-stale downlink for `c` against `record`;
-  /// returns the bytes shipped (0 when the client's cache is current).
-  int64_t ChargeDownlink(int c, const ParameterStore& broadcast, int round,
-                         RoundRecord* record) {
+  /// returns the bytes shipped (0 when the client's cache is current). An
+  /// empty need-list costs nothing — the round trigger itself is covered
+  /// by the timing model's fixed per-round latency.
+  int64_t ChargeDownlink(int c, int round, RoundRecord* record) {
     const std::vector<int> need = downlink.ClaimStale(c, RequestedGroups(c));
     int64_t bytes = 0;
     int64_t scalars = 0;
     if (!need.empty()) {
       const WirePayload payload = BuildDownlinkPayload(need, c, round,
-                                                       broadcast);
+                                                       *global);
       bytes = payload.EncodedBytes();
       scalars = payload.CoveredScalars();
     }
@@ -312,11 +329,23 @@ struct FederatedRunner::RoundLoop {
     return bytes;
   }
 
-  /// Trains `trainers` on `broadcast` in parallel. RNG streams are split
-  /// from the round RNG in trainer order before any update starts, so the
-  /// result is identical whether updates run sequentially or on the pool.
+  /// `c`'s update is lost after it received the broadcast (a semi-async
+  /// departure event, or a remote process that died or was expelled), and
+  /// its cached copy of the model is gone with it, so a rejoin is charged
+  /// as a full resync.
+  void Depart(int c, RoundRecord* record) {
+    ++record->departures;
+    if (ctr_departures != nullptr) ctr_departures->Increment();
+    downlink.InvalidateClient(c);
+    mirror.InvalidateClient(c);
+  }
+
+  /// Trains `trainers` on the global store in parallel. RNG streams are
+  /// split from the round RNG in trainer order before any update starts, so
+  /// the result is identical whether updates run sequentially or on the
+  /// pool. Streaming aggregation defers every global write to Finalize(),
+  /// so no value changes while clients read it.
   std::vector<double> TrainClients(const std::vector<int>& trainers,
-                                   const ParameterStore& broadcast,
                                    int round) {
     std::vector<core::Rng> client_rngs;
     client_rngs.reserve(trainers.size());
@@ -331,7 +360,7 @@ struct FederatedRunner::RoundLoop {
       obs::ScopedSpan client_span(tracer, "client-update", "client", c);
       core::Rng& client_rng = client_rngs[static_cast<size_t>(p)];
       losses[static_cast<size_t>(p)] =
-          client(c)->Update(broadcast, local_options, &client_rng);
+          client(c)->Update(*global, local_options, &client_rng);
       if (options().dp_noise_std > 0.0) {
         // Perturb the client's outgoing weights (the server only ever sees
         // the noisy values, including in the mask-update magnitudes).
@@ -353,28 +382,22 @@ struct FederatedRunner::RoundLoop {
     return losses;
   }
 
-  /// Transport mode's counterpart of TrainClients: ships each participant
-  /// its round task (split RNG state in TrainClients' order, the masks in
-  /// force, a mirror resync), collects the replies, and prunes participants
-  /// whose process departed mid-round (recording the departure and
-  /// invalidating both downlink trackers). Returns the surviving
-  /// participants' losses; their uplink payloads land in `uplinks`, aligned
-  /// with the pruned `participants`.
+  /// Transport mode's counterpart of TrainClients: ships each trainer its
+  /// round task (split RNG state in TrainClients' order, the masks in
+  /// force, a mirror resync), collects the replies, and departs trainers
+  /// whose process died mid-round or whose reply is not the uplink the
+  /// server asked for. Returns the survivors' losses, aligned with the
+  /// pruned `trainers`; their uplinks land in `pending`.
   std::vector<double> ExecuteRemoteRound(
-      std::vector<int>* participants,
-      const std::vector<int>& selected_groups, int round,
-      RoundRecord* record, std::vector<WirePayload>* uplinks) {
-    std::vector<int> all_groups(static_cast<size_t>(num_groups));
-    for (int gid = 0; gid < num_groups; ++gid) {
-      all_groups[static_cast<size_t>(gid)] = gid;
-    }
+      std::vector<int>* trainers, const std::vector<int>& selected_groups,
+      int round, RoundRecord* record) {
     std::vector<TransportTask> tasks;
-    tasks.reserve(participants->size());
-    for (int c : *participants) {
+    tasks.reserve(trainers->size());
+    for (int c : *trainers) {
       TransportTask task;
       task.client = c;
       task.round = round;
-      // One Split() per participant, in participant order — the exact draw
+      // One Split() per trainer, in trainer order — the exact draw
       // sequence TrainClients performs — so remote streams are bit-equal to
       // the in-process client streams.
       task.rng_state = rng->Split().SaveState();
@@ -393,34 +416,88 @@ struct FederatedRunner::RoundLoop {
     std::vector<int> delivered;
     std::vector<double> losses;
     for (size_t p = 0; p < replies.size(); ++p) {
-      const int c = (*participants)[p];
+      const int c = (*trainers)[p];
       TransportReply& reply = replies[p];
-      // A reply can decode cleanly yet carry an uplink built for another
-      // model layout, which ApplyTo would reject mid-aggregation, or a
-      // non-finite loss or value, which would poison the aggregate. Its
-      // sender is expelled here, before anything aggregates.
+      // A reply can decode cleanly yet not be the uplink this task asked
+      // for — another layout, a missing or unrequested group, other mask
+      // bits, another header — or carry a non-finite loss or value. Any of
+      // these would abort or skew the aggregate, so its sender is expelled
+      // here, before anything aggregates.
       if (reply.ok &&
-          (!reply.uplink.CheckLayout(*global).ok() || !AllFinite(reply))) {
+          (!CheckUplinkShape(reply.uplink, is_fedda ? &state : nullptr,
+                             selected_groups, c, round, *global)
+                .ok() ||
+           !AllFinite(reply))) {
         expelled[static_cast<size_t>(c)] = 1;
       }
       if (!reply.ok || expelled[static_cast<size_t>(c)]) {
-        // The process died (or went silent past the read deadline, or was
-        // expelled) after receiving this round's broadcast: its update is
-        // lost and its cached copy of the model is gone with it, so a
-        // rejoin would be charged as a full resync — same semantics as a
-        // semi-async departure event.
-        ++record->departures;
-        if (ctr_departures != nullptr) ctr_departures->Increment();
-        downlink.InvalidateClient(c);
-        mirror.InvalidateClient(c);
+        // Died, went silent past the read deadline, or was expelled after
+        // receiving this round's broadcast.
+        Depart(c, record);
         continue;
       }
       delivered.push_back(c);
       losses.push_back(reply.loss);
-      uplinks->push_back(std::move(reply.uplink));
+      pending[static_cast<size_t>(c)].remote_uplink = std::move(reply.uplink);
     }
-    *participants = std::move(delivered);
+    *trainers = std::move(delivered);
     return losses;
+  }
+
+  /// Virtual-time arrival source (semi-async mode): schedules each
+  /// trainer's arrival and each dropout's departure at NetworkModel-derived
+  /// times, then drains the queue until this round holds `buffer_size`
+  /// arrivals (or nothing is in flight). Departures are processed as they
+  /// pop.
+  std::vector<Arrival> DrainArrivals(const std::vector<int>& trainers,
+                                     const std::vector<int>& dropouts,
+                                     int round, RoundRecord* record) {
+    const SemiAsyncOptions& sa = options().semi_async;
+    const NetworkModel& net = sa.network;
+    const double now = queue.virtual_now();
+    const double compute_sec =
+        static_cast<double>(options().local.local_epochs) *
+        net.compute_sec_per_epoch;
+    // latency + downlink + compute, plus the uplink for an update that
+    // gets sent (a dropout crashes before upload: 0 bytes adds exactly 0).
+    auto duration = [&](int c, int64_t uplink_bytes) {
+      const double speed =
+          sa.client_speed.empty() ? 1.0
+                                  : sa.client_speed[static_cast<size_t>(c)];
+      return speed *
+             (net.round_latency_sec +
+              static_cast<double>(
+                  pending[static_cast<size_t>(c)].downlink_bytes) /
+                  net.downlink_bytes_per_sec +
+              compute_sec +
+              static_cast<double>(uplink_bytes) / net.uplink_bytes_per_sec);
+    };
+    obs::ScopedSpan sched_span(tracer, "event-schedule", "round", round);
+    for (int c : trainers) {
+      queue.Push(now + duration(c, pending[static_cast<size_t>(c)]
+                                       .uplink_bytes),
+                 EventKind::kArrival, c, round);
+      in_flight[static_cast<size_t>(c)] = 1;
+    }
+    for (int c : dropouts) {
+      queue.Push(now + duration(c, 0), EventKind::kDeparture, c, round);
+      in_flight[static_cast<size_t>(c)] = 1;
+    }
+    std::vector<Arrival> arrivals;
+    while (!queue.empty() &&
+           (sa.buffer_size <= 0 ||
+            static_cast<int>(arrivals.size()) < sa.buffer_size)) {
+      const Event event = queue.Pop();
+      result.events.push_back(event);
+      in_flight[static_cast<size_t>(event.client)] = 0;
+      if (event.kind == EventKind::kDeparture) {
+        Depart(event.client, record);
+      } else {
+        arrivals.push_back({event.client, round - event.round});
+      }
+    }
+    record->virtual_time_sec = queue.virtual_now();
+    return arrivals;
   }
 
   /// Dynamic deactivation emptied the active set outside any reactivation
@@ -471,303 +548,132 @@ struct FederatedRunner::RoundLoop {
     }
   }
 
-  void RunSyncRound(int round);
-  void RunSemiAsyncRound(int round);
+  void RunRound(int round);
 };
 
-void FederatedRunner::RoundLoop::RunSyncRound(int round) {
+/// One round of Algorithm 1: select, train, arrive, aggregate, update the
+/// masks, evaluate. The modes differ only in where arrivals come from —
+/// in-process or remote trainers in participant order (synchronous), or
+/// the virtual-time event queue (semi-async).
+void FederatedRunner::RoundLoop::RunRound(int round) {
   obs::ScopedSpan round_span(tracer, "round", "round", round);
   if (ctr_rounds != nullptr) ctr_rounds->Increment();
-  RoundRecord record;
-  record.round = round;
-
-  std::vector<int> participants = runner->SelectParticipants(&state, rng);
-  ForceReactivation(&participants, round, &record);
-  if (options().client_failure_prob > 0.0) {
-    std::vector<int> responding;
-    for (int c : participants) {
-      if (!rng->Bernoulli(options().client_failure_prob)) {
-        responding.push_back(c);
-      }
-    }
-    participants = std::move(responding);
-  }
-  if (transport != nullptr) {
-    // Clients whose process already departed (or that were expelled)
-    // cannot be tasked. They are filtered only *after* every selection and
-    // failure draw above, so a departure-free remote run replays the exact
-    // in-process RNG stream.
-    std::vector<int> alive;
-    for (int c : participants) {
-      if (transport->ClientAlive(c) && !expelled[static_cast<size_t>(c)]) {
-        alive.push_back(c);
-      }
-    }
-    participants = std::move(alive);
-  }
-  if (participants.empty()) {
-    // Everyone failed: no training, no aggregation, no uplink. The mean
-    // loss is NaN, not 0: zero would read as a perfect round downstream.
-    record.mean_local_loss = std::numeric_limits<double>::quiet_NaN();
-    record.active_after_round = state.num_active_clients();
-    Evaluate(round, &record);
-    FinishRound(std::move(record));
-    return;
-  }
-
-  // FedAvg's random parameter activation (rate D): one server-side group
-  // subset per round, shared by all participants. FedDA transmits per its
-  // masks, so every group is nominally "selected".
-  std::vector<int> selected_groups;
-  int64_t selected_scalars = 0;
-  if (!is_fedda && options().param_fraction < 1.0) {
-    const int take = std::max(
-        1, static_cast<int>(
-               std::llround(options().param_fraction * num_groups)));
-    for (size_t idx : rng->SampleWithoutReplacement(
-             static_cast<size_t>(num_groups), static_cast<size_t>(take))) {
-      selected_groups.push_back(static_cast<int>(idx));
-    }
-    std::sort(selected_groups.begin(), selected_groups.end());
-  } else {
-    selected_groups.resize(static_cast<size_t>(num_groups));
-    for (int gid = 0; gid < num_groups; ++gid) {
-      selected_groups[static_cast<size_t>(gid)] = gid;
-    }
-  }
-  for (int gid : selected_groups) {
-    selected_scalars += global->value(gid).size();
-  }
-
-  // The broadcast is the global store itself: streaming aggregation defers
-  // every write to Finalize(), so no global value changes while clients
-  // read it and the old per-round O(model) deep copy is gone.
-  const ParameterStore& broadcast = *global;
-  std::vector<WirePayload> remote_uplinks;
-  const std::vector<double> losses =
-      transport == nullptr
-          ? TrainClients(participants, broadcast, round)
-          : ExecuteRemoteRound(&participants, selected_groups, round,
-                               &record, &remote_uplinks);
-  if (participants.empty()) {
-    // Every tasked participant departed mid-round: nothing arrived, so
-    // nothing aggregates — but the recorded departures stand.
-    record.mean_local_loss = std::numeric_limits<double>::quiet_NaN();
-    record.active_after_round = state.num_active_clients();
-    Evaluate(round, &record);
-    FinishRound(std::move(record));
-    return;
-  }
-  double loss_sum = 0.0;
-  for (double loss : losses) loss_sum += loss;
-
-  record.participants = static_cast<int>(participants.size());
-  record.mean_local_loss =
-      loss_sum / static_cast<double>(participants.size());
-  // Uplink and downlink accounting uses the masks in force *this* round
-  // (before the post-aggregation update below). Bytes are measured off
-  // real fl/wire.h payloads, so they include entry headers and the
-  // bit-packed mask overhead.
-  {
-    obs::ScopedSpan wire_span(tracer, "wire-encode", "round", round);
-    for (size_t p = 0; p < participants.size(); ++p) {
-      const int c = participants[p];
-      const int64_t scalars =
-          is_fedda ? state.TransmittedScalars(c) : selected_scalars;
-      record.uplink_groups += is_fedda
-                                  ? state.TransmittedGroups(c)
-                                  : static_cast<int64_t>(
-                                        selected_groups.size());
-      record.uplink_scalars += scalars;
-      record.max_uplink_scalars =
-          std::max(record.max_uplink_scalars, scalars);
-
-      // Transport mode measures the payload that actually crossed the wire;
-      // in-process rounds build it here. Both are the same bytes — the
-      // remote side runs the same builders on the same masks and weights.
-      WirePayload built;
-      if (transport == nullptr) {
-        built = is_fedda
-                    ? BuildUplinkPayload(state, c, round, client(c)->params())
-                    : BuildDenseUplinkPayload(selected_groups, c, round,
-                                              client(c)->params());
-      }
-      const WirePayload& uplink =
-          transport != nullptr ? remote_uplinks[p] : built;
-      const int64_t uplink_bytes = uplink.EncodedBytes();
-      record.uplink_bytes += uplink_bytes;
-      record.max_uplink_bytes =
-          std::max(record.max_uplink_bytes, uplink_bytes);
-
-      // Downlink: requested groups whose cached version is stale. An empty
-      // need-list costs nothing — the round trigger itself is covered by
-      // the timing model's fixed per-round latency.
-      ChargeDownlink(c, broadcast, round, &record);
-    }
-  }
-
-  // Streaming aggregation: one update at a time into per-group running
-  // sums, handed off by move and freed as soon as it is folded in. Peak
-  // server memory is O(model) — the accumulators plus one update — instead
-  // of every participant's full update staying alive until round end.
-  std::vector<uint8_t> groups_updated;
-  std::vector<std::vector<double>> magnitudes;
-  {
-    obs::ScopedSpan agg_span(tracer, "aggregate", "round", round);
-    StreamingAggregator::Config config;
-    config.fedda = is_fedda;
-    config.scalar_granularity = scalar_gran;
-    StreamingAggregator aggregator(global, &state, selected_groups, config);
-    magnitudes.reserve(participants.size());
-    for (size_t p = 0; p < participants.size(); ++p) {
-      const int c = participants[p];
-      ParameterStore update;
-      if (transport != nullptr) {
-        // Reconstruct the remote update from its wire payload onto a copy
-        // of the broadcast. Scalars the payload masks off keep broadcast
-        // values, which is enough for bit-identity: Accumulate never reads
-        // a scalar the client's mask excludes. One reconstruction lives at
-        // a time, preserving the streaming server's O(model) peak memory.
-        update = *global;
-        // ExecuteRemoteRound expelled every sender whose layout does not
-        // match, so this cannot fail.
-        const core::Status applied = remote_uplinks[p].ApplyTo(&update);
-        FEDDA_CHECK(applied.ok())
-            << "uplink payload does not match the model layout (client "
-            << c << "): " << applied.ToString();
-      } else {
-        update = client(c)->TakeUpdate();
-      }
-      magnitudes.push_back(
-          aggregator.Accumulate(c, runner->AggregationWeight(c), update));
-    }
-    aggregator.Finalize(global, &groups_updated);
-    downlink.AdvanceGroups(groups_updated);
-    if (transport != nullptr) mirror.AdvanceGroups(groups_updated);
-  }
-
-  if (is_fedda) {
-    obs::ScopedSpan mask_span(tracer, "mask-update", "round", round);
-    runner->UpdateActivation(participants, magnitudes, &state, rng);
-  }
-
-  record.active_after_round = state.num_active_clients();
-  Evaluate(round, &record);
-  FinishRound(std::move(record));
-}
-
-void FederatedRunner::RoundLoop::RunSemiAsyncRound(int round) {
-  obs::ScopedSpan round_span(tracer, "round", "round", round);
-  if (ctr_rounds != nullptr) ctr_rounds->Increment();
-  const SemiAsyncOptions& sa = options().semi_async;
   RoundRecord record;
   record.round = round;
 
   // 1. Select, force reactivation if dynamic deactivation emptied the
-  // active set, and keep only clients without an update already in flight.
-  std::vector<int> selected = runner->SelectParticipants(&state, rng);
-  if (is_fedda) ForceReactivation(&selected, round, &record);
-  std::vector<int> starters;
-  for (int c : selected) {
-    if (!in_flight[static_cast<size_t>(c)]) starters.push_back(c);
-  }
-  record.started = static_cast<int>(starters.size());
+  // active set, and skip clients with an update still in flight.
+  std::vector<int> starters = runner->SelectParticipants(&state, rng);
+  ForceReactivation(&starters, round, &record);
+  std::erase_if(starters,
+                [&](int c) { return in_flight[static_cast<size_t>(c)] != 0; });
+  if (semi_async) record.started = static_cast<int>(starters.size());
 
   // 2. Dropout decisions on the coordinator, in starter order (never on
-  // pool workers), so the event schedule is a pure function of the seed.
+  // pool workers), so the schedule is a pure function of the seed. A
+  // synchronous dropout vanishes before the broadcast; a semi-async one
+  // receives it and departs mid-flight. Dropouts never train (their
+  // epochs would only burn host time) and draw no RNG.
   std::vector<int> trainers;
   std::vector<int> dropouts;
   for (int c : starters) {
     if (options().client_failure_prob > 0.0 &&
         rng->Bernoulli(options().client_failure_prob)) {
-      dropouts.push_back(c);
+      if (semi_async) dropouts.push_back(c);
     } else {
       trainers.push_back(c);
     }
   }
+  if (transport != nullptr) {
+    // Clients whose process already departed (or that were expelled)
+    // cannot be tasked. They are filtered only *after* every draw above,
+    // so a departure-free remote run replays the exact in-process RNG
+    // stream.
+    std::erase_if(trainers, [&](int c) {
+      return !transport->ClientAlive(c) || expelled[static_cast<size_t>(c)];
+    });
+  }
 
-  // 3. Every starter receives the broadcast now (dropouts crash later,
-  // mid-flight: their downlink was still spent).
-  const ParameterStore& broadcast = *global;
+  // 3. FedAvg's random parameter activation (rate D): one server-side group
+  // subset per round, drawn only when someone trains. FedDA transmits per
+  // its masks, so every group is nominally "selected".
+  std::vector<int> selected_groups = all_groups;
+  if (!is_fedda && options().param_fraction < 1.0 && !trainers.empty()) {
+    const int take = std::max(
+        1, static_cast<int>(
+               std::llround(options().param_fraction * num_groups)));
+    selected_groups.clear();
+    for (size_t idx : rng->SampleWithoutReplacement(
+             static_cast<size_t>(num_groups), static_cast<size_t>(take))) {
+      selected_groups.push_back(static_cast<int>(idx));
+    }
+    std::sort(selected_groups.begin(), selected_groups.end());
+  }
+  int64_t selected_scalars = 0;
+  for (int gid : selected_groups) {
+    selected_scalars += global->value(gid).size();
+  }
+
+  // 4. Train in-process, or remotely (which prunes the departed).
+  const std::vector<double> losses =
+      transport == nullptr
+          ? TrainClients(trainers, round)
+          : ExecuteRemoteRound(&trainers, selected_groups, round, &record);
+
+  // 5. Charge the downlink of every client that received the broadcast,
+  // and capture each trainer's uplink under the masks in force *this*
+  // round (before the post-aggregation update). Bytes are measured off
+  // real fl/wire.h payloads, so they include entry headers and the
+  // bit-packed mask overhead. A transport measures the payload that
+  // crossed the wire; in-process rounds build it here. Both are the same
+  // bytes — the remote side runs the same builders on the same masks and
+  // weights.
   {
     obs::ScopedSpan wire_span(tracer, "wire-encode", "round", round);
-    for (int c : starters) {
+    for (int c : dropouts) {
       pending[static_cast<size_t>(c)].downlink_bytes =
-          ChargeDownlink(c, broadcast, round, &record);
+          ChargeDownlink(c, round, &record);
     }
-  }
-
-  // 4. Local training (dropouts never deliver, so simulating their wasted
-  // epochs would only burn host time; they draw no RNG either).
-  const std::vector<double> losses = TrainClients(trainers, broadcast,
-                                                  round);
-
-  // 5. Schedule events at NetworkModel-derived virtual times. Uplink
-  // accounting is captured now (the masks the client trained under) and
-  // charged when the update arrives.
-  const double now = queue.virtual_now();
-  const NetworkModel& net = sa.network;
-  auto speed_of = [&](int c) {
-    return sa.client_speed.empty()
-               ? 1.0
-               : sa.client_speed[static_cast<size_t>(c)];
-  };
-  const double compute_sec =
-      static_cast<double>(options().local.local_epochs) *
-      net.compute_sec_per_epoch;
-  std::vector<int> all_groups(static_cast<size_t>(num_groups));
-  for (int gid = 0; gid < num_groups; ++gid) {
-    all_groups[static_cast<size_t>(gid)] = gid;
-  }
-  {
-    obs::ScopedSpan sched_span(tracer, "event-schedule", "round", round);
     for (size_t p = 0; p < trainers.size(); ++p) {
       const int c = trainers[p];
       Pending& entry = pending[static_cast<size_t>(c)];
+      entry.downlink_bytes = ChargeDownlink(c, round, &record);
       entry.loss = losses[p];
       entry.uplink_groups =
           is_fedda ? state.TransmittedGroups(c)
-                   : static_cast<int64_t>(num_groups);
-      entry.uplink_scalars = is_fedda ? state.TransmittedScalars(c)
-                                      : global->num_scalars();
-      const WirePayload uplink =
-          is_fedda ? BuildUplinkPayload(state, c, round, client(c)->params())
-                   : BuildDenseUplinkPayload(all_groups, c, round,
-                                             client(c)->params());
-      entry.uplink_bytes = uplink.EncodedBytes();
-      const double duration =
-          speed_of(c) *
-          (net.round_latency_sec +
-           static_cast<double>(entry.downlink_bytes) /
-               net.downlink_bytes_per_sec +
-           compute_sec +
-           static_cast<double>(entry.uplink_bytes) /
-               net.uplink_bytes_per_sec);
-      queue.Push(now + duration, EventKind::kArrival, c, round);
-      in_flight[static_cast<size_t>(c)] = 1;
-    }
-    for (int c : dropouts) {
-      // Crashed before upload: latency + downlink + compute, no uplink
-      // term.
-      const double duration =
-          speed_of(c) *
-          (net.round_latency_sec +
-           static_cast<double>(
-               pending[static_cast<size_t>(c)].downlink_bytes) /
-               net.downlink_bytes_per_sec +
-           compute_sec);
-      queue.Push(now + duration, EventKind::kDeparture, c, round);
-      in_flight[static_cast<size_t>(c)] = 1;
+                   : static_cast<int64_t>(selected_groups.size());
+      entry.uplink_scalars =
+          is_fedda ? state.TransmittedScalars(c) : selected_scalars;
+      if (transport != nullptr) {
+        entry.uplink_bytes = entry.remote_uplink.EncodedBytes();
+      } else if (is_fedda) {
+        entry.uplink_bytes =
+            BuildUplinkPayload(state, c, round, client(c)->params())
+                .EncodedBytes();
+      } else {
+        entry.uplink_bytes = BuildDenseUplinkPayload(selected_groups, c,
+                                                     round, client(c)->params())
+                                 .EncodedBytes();
+      }
     }
   }
 
-  // 6. Drain the queue until the buffer holds K arrivals (or nothing is in
-  // flight). Departures are processed as encountered: the client's cached
-  // model is invalidated so its rejoin is charged as a full resync.
-  const int buffer_k = sa.buffer_size;
+  // 6. Arrivals: synchronous trainers in participant order, or whatever
+  // the event queue delivers this round.
+  std::vector<Arrival> arrivals;
+  if (semi_async) {
+    arrivals = DrainArrivals(trainers, dropouts, round, &record);
+  } else {
+    for (int c : trainers) arrivals.push_back({c, 0});
+  }
+
+  // 7. Streaming aggregation: one update at a time into per-group running
+  // sums, handed off by move and freed as soon as it is folded in, so peak
+  // server memory is O(model). Each update is weighted
+  // AggregationWeight(c) / (1 + staleness)^rho; a fresh update divides by
+  // pow(1, rho) == 1 exactly.
   std::vector<int> aggregated;
   std::vector<std::vector<double>> magnitudes;
-  std::vector<uint8_t> groups_updated;
   double loss_sum = 0.0;
   double staleness_sum = 0.0;
   {
@@ -775,26 +681,10 @@ void FederatedRunner::RoundLoop::RunSemiAsyncRound(int round) {
     StreamingAggregator::Config config;
     config.fedda = is_fedda;
     config.scalar_granularity = scalar_gran;
-    StreamingAggregator aggregator(global, &state, all_groups, config);
-    while (!queue.empty() &&
-           (buffer_k <= 0 ||
-            static_cast<int>(aggregated.size()) < buffer_k)) {
-      const Event event = queue.Pop();
-      result.events.push_back(event);
-      const int c = event.client;
-      in_flight[static_cast<size_t>(c)] = 0;
-      if (event.kind == EventKind::kDeparture) {
-        downlink.InvalidateClient(c);
-        ++record.departures;
-        if (ctr_departures != nullptr) ctr_departures->Increment();
-        continue;
-      }
-      const int staleness = round - event.round;
-      const double weight =
-          runner->AggregationWeight(c) /
-          std::pow(1.0 + static_cast<double>(staleness),
-                   sa.staleness_exponent);
-      const Pending& entry = pending[static_cast<size_t>(c)];
+    StreamingAggregator aggregator(global, &state, selected_groups, config);
+    for (const Arrival& arrival : arrivals) {
+      const int c = arrival.client;
+      Pending& entry = pending[static_cast<size_t>(c)];
       record.uplink_groups += entry.uplink_groups;
       record.uplink_scalars += entry.uplink_scalars;
       record.max_uplink_scalars =
@@ -803,28 +693,48 @@ void FederatedRunner::RoundLoop::RunSemiAsyncRound(int round) {
       record.max_uplink_bytes =
           std::max(record.max_uplink_bytes, entry.uplink_bytes);
       loss_sum += entry.loss;
-      staleness_sum += static_cast<double>(staleness);
-      const ParameterStore update = client(c)->TakeUpdate();
+      staleness_sum += static_cast<double>(arrival.staleness);
+      ParameterStore update;
+      if (transport != nullptr) {
+        // Reconstruct the remote update from its wire payload onto a copy
+        // of the global. Scalars the payload masks off keep global values,
+        // which is enough for bit-identity: Accumulate never reads a scalar
+        // the client's mask excludes. ExecuteRemoteRound expelled every
+        // sender whose uplink has the wrong shape, so this cannot fail.
+        update = *global;
+        const core::Status applied = entry.remote_uplink.ApplyTo(&update);
+        FEDDA_CHECK(applied.ok())
+            << "uplink payload does not match the model layout (client "
+            << c << "): " << applied.ToString();
+        entry.remote_uplink = WirePayload();
+      } else {
+        update = client(c)->TakeUpdate();
+      }
+      const double weight =
+          runner->AggregationWeight(c) /
+          std::pow(1.0 + static_cast<double>(arrival.staleness),
+                   options().semi_async.staleness_exponent);
       magnitudes.push_back(aggregator.Accumulate(c, weight, update));
       aggregated.push_back(c);
     }
     if (!aggregated.empty()) {
+      std::vector<uint8_t> groups_updated;
       aggregator.Finalize(global, &groups_updated);
       downlink.AdvanceGroups(groups_updated);
+      mirror.AdvanceGroups(groups_updated);
     }
   }
-  record.virtual_time_sec = queue.virtual_now();
 
   if (aggregated.empty()) {
-    // Nothing reached the buffer (everyone in flight dropped out, or no
-    // one was eligible to start): no aggregation, NaN loss.
+    // Nothing arrived (everyone failed or departed, or nothing was eligible
+    // to start): no aggregation. The mean loss is NaN, not 0: zero would
+    // read as a perfect round downstream.
     record.mean_local_loss = std::numeric_limits<double>::quiet_NaN();
   } else {
+    const double n = static_cast<double>(aggregated.size());
     record.participants = static_cast<int>(aggregated.size());
-    record.mean_local_loss =
-        loss_sum / static_cast<double>(aggregated.size());
-    record.mean_staleness =
-        staleness_sum / static_cast<double>(aggregated.size());
+    record.mean_local_loss = loss_sum / n;
+    record.mean_staleness = staleness_sum / n;
     if (is_fedda) {
       obs::ScopedSpan mask_span(tracer, "mask-update", "round", round);
       runner->UpdateActivation(aggregated, magnitudes, &state, rng);
@@ -844,15 +754,7 @@ FlRunResult FederatedRunner::Run(ParameterStore* global_store,
   obs::ScopedSpan run_span(options_.tracer, "run");
   RoundLoop loop(this, global_store, rng);
   loop.result.aggregation_mode = options_.aggregation_mode;
-  const bool semi_async =
-      options_.aggregation_mode == AggregationMode::kSemiAsync;
-  for (int round = 0; round < options_.rounds; ++round) {
-    if (semi_async) {
-      loop.RunSemiAsyncRound(round);
-    } else {
-      loop.RunSyncRound(round);
-    }
-  }
+  for (int round = 0; round < options_.rounds; ++round) loop.RunRound(round);
   loop.result.final_auc = loop.result.history.back().auc;
   loop.result.final_mrr = loop.result.history.back().mrr;
   return std::move(loop.result);

@@ -216,10 +216,11 @@ struct FlRunResult {
   int64_t total_downlink_bytes = 0;
   int64_t total_downlink_scalars = 0;
   int64_t total_max_downlink_scalars = 0;
-  /// Semi-async only: every event the server processed, in pop order. The
+  /// Every event the server processed, in pop order: semi-async arrivals
+  /// and departures, and forced reactivations in either mode. The
   /// sequence is a pure function of the seed (EventQueue ties break on push
   /// order), so it doubles as the determinism witness across worker_threads
-  /// settings. Empty in synchronous mode.
+  /// settings.
   std::vector<Event> events;
 };
 
@@ -256,7 +257,7 @@ class FederatedRunner {
   const FlOptions& options() const { return options_; }
 
  private:
-  struct RoundLoop;  // shared per-run state for the round drivers
+  struct RoundLoop;  // per-run state and the round driver
 
   /// Participants for round `t` per algorithm.
   std::vector<int> SelectParticipants(ActivationState* state, core::Rng* rng);

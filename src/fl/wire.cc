@@ -228,44 +228,54 @@ core::Status WirePayload::ApplyTo(tensor::ParameterStore* store) const {
 
 namespace {
 
-/// Dense entry carrying the whole of `params`' group `gid`.
-WireGroup DenseEntry(const tensor::ParameterStore& params, int gid) {
+/// Entry carrying `params`' group `gid` whole. A shape-only entry
+/// (`with_values` false) leaves the values empty.
+WireGroup DenseEntry(const tensor::ParameterStore& params, int gid,
+                     bool with_values) {
   const tensor::Tensor& value = params.value(gid);
   WireGroup entry;
   entry.group = gid;
   entry.size = value.size();
-  entry.values.assign(value.data(), value.data() + value.size());
+  if (with_values) {
+    entry.values.assign(value.data(), value.data() + value.size());
+  }
   return entry;
 }
 
-}  // namespace
-
-WirePayload BuildUplinkPayload(const ActivationState& state, int client,
-                               int round,
-                               const tensor::ParameterStore& params) {
+/// The entries of `client`'s payload: an uplink's under `state`'s masks,
+/// or with `state` null the dense `groups` (a FedAvg uplink or a
+/// downlink). Values are copied from `params` only when `with_values`.
+std::vector<WireGroup> PayloadEntries(const ActivationState* state,
+                                      const std::vector<int>& groups,
+                                      int client,
+                                      const tensor::ParameterStore& params,
+                                      bool with_values) {
+  std::vector<WireGroup> entries;
+  if (state == nullptr) {
+    for (int gid : groups) {
+      FEDDA_CHECK(gid >= 0 && gid < params.num_groups());
+      entries.push_back(DenseEntry(params, gid, with_values));
+    }
+    return entries;
+  }
   const bool scalar_gran =
-      state.options().granularity == ActivationGranularity::kScalar;
-  WirePayload payload;
-  payload.kind_ = WireKind::kUplink;
-  payload.client_ = client;
-  payload.round_ = round;
-  payload.total_groups_ = params.num_groups();
+      state->options().granularity == ActivationGranularity::kScalar;
   for (int gid = 0; gid < params.num_groups(); ++gid) {
-    const int64_t first_unit = state.GroupFirstUnit(gid);
+    const int64_t first_unit = state->GroupFirstUnit(gid);
     if (first_unit < 0 || !scalar_gran) {
       // Non-disentangled groups are always uploaded whole; at tensor
       // granularity an active disentangled group is too (a masked one is
       // simply absent — its "mask" is the missing entry).
-      if (first_unit >= 0 && !state.UnitActive(client, first_unit)) continue;
-      payload.groups_.push_back(DenseEntry(params, gid));
+      if (first_unit >= 0 && !state->UnitActive(client, first_unit)) continue;
+      entries.push_back(DenseEntry(params, gid, with_values));
       continue;
     }
     // Scalar granularity: bit-packed per-scalar mask + active scalars.
-    const int64_t units = state.GroupUnitCount(gid);
+    const int64_t units = state->GroupUnitCount(gid);
     std::vector<uint8_t> bits(static_cast<size_t>(units), 0);
     bool any_active = false;
     for (int64_t u = 0; u < units; ++u) {
-      if (state.UnitActive(client, first_unit + u)) {
+      if (state->UnitActive(client, first_unit + u)) {
         bits[static_cast<size_t>(u)] = 1;
         any_active = true;
       }
@@ -277,44 +287,74 @@ WirePayload BuildUplinkPayload(const ActivationState& state, int client,
     entry.mask = PackBits(bits);
     const tensor::Tensor& value = params.value(gid);
     FEDDA_CHECK_EQ(value.size(), units);
-    for (int64_t u = 0; u < units; ++u) {
-      if (bits[static_cast<size_t>(u)]) {
-        entry.values.push_back(value.data()[u]);
+    if (with_values) {
+      for (int64_t u = 0; u < units; ++u) {
+        if (bits[static_cast<size_t>(u)]) {
+          entry.values.push_back(value.data()[u]);
+        }
       }
     }
-    payload.groups_.push_back(std::move(entry));
+    entries.push_back(std::move(entry));
   }
-  return payload;
+  return entries;
+}
+
+}  // namespace
+
+WirePayload::WirePayload(WireKind kind, int client, int round,
+                         int total_groups, std::vector<WireGroup> groups)
+    : kind_(kind), client_(client), round_(round),
+      total_groups_(total_groups), groups_(std::move(groups)) {}
+
+WirePayload BuildUplinkPayload(const ActivationState& state, int client,
+                               int round,
+                               const tensor::ParameterStore& params) {
+  return WirePayload(WireKind::kUplink, client, round, params.num_groups(),
+                     PayloadEntries(&state, {}, client, params, true));
 }
 
 WirePayload BuildDenseUplinkPayload(const std::vector<int>& groups,
                                     int client, int round,
                                     const tensor::ParameterStore& params) {
-  WirePayload payload;
-  payload.kind_ = WireKind::kUplink;
-  payload.client_ = client;
-  payload.round_ = round;
-  payload.total_groups_ = params.num_groups();
-  for (int gid : groups) {
-    FEDDA_CHECK(gid >= 0 && gid < params.num_groups());
-    payload.groups_.push_back(DenseEntry(params, gid));
+  return WirePayload(WireKind::kUplink, client, round, params.num_groups(),
+                     PayloadEntries(nullptr, groups, client, params, true));
+}
+
+core::Status CheckUplinkShape(const WirePayload& uplink,
+                              const ActivationState* state,
+                              const std::vector<int>& groups, int client,
+                              int round,
+                              const tensor::ParameterStore& model) {
+  if (uplink.kind() != WireKind::kUplink || uplink.client() != client ||
+      uplink.round() != round || uplink.total_groups() != model.num_groups()) {
+    return core::Status::InvalidArgument(
+        "uplink header does not match client " + std::to_string(client) +
+        ", round " + std::to_string(round));
   }
-  return payload;
+  const std::vector<WireGroup> expected =
+      PayloadEntries(state, groups, client, model, /*with_values=*/false);
+  if (uplink.groups().size() != expected.size()) {
+    return core::Status::InvalidArgument(
+        "uplink carries " + std::to_string(uplink.groups().size()) +
+        " groups, expected " + std::to_string(expected.size()));
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const WireGroup& got = uplink.groups()[i];
+    if (got.group != expected[i].group || got.size != expected[i].size ||
+        got.mask != expected[i].mask) {
+      return core::Status::InvalidArgument(
+          "uplink entry " + std::to_string(i) + " is not group " +
+          std::to_string(expected[i].group) + " under the requested mask");
+    }
+  }
+  return core::Status::OK();
 }
 
 WirePayload BuildDownlinkPayload(const std::vector<int>& groups, int client,
                                  int round,
                                  const tensor::ParameterStore& global) {
-  WirePayload payload;
-  payload.kind_ = WireKind::kDownlink;
-  payload.client_ = client;
-  payload.round_ = round;
-  payload.total_groups_ = global.num_groups();
-  for (int gid : groups) {
-    FEDDA_CHECK(gid >= 0 && gid < global.num_groups());
-    payload.groups_.push_back(DenseEntry(global, gid));
-  }
-  return payload;
+  return WirePayload(WireKind::kDownlink, client, round, global.num_groups(),
+                     PayloadEntries(nullptr, groups, client, global, true));
 }
 
 DownlinkVersionTracker::DownlinkVersionTracker(int num_clients, int num_groups)

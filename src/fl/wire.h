@@ -116,6 +116,9 @@ class WirePayload {
       const std::vector<int>& groups, int client, int round,
       const tensor::ParameterStore& global);
 
+  WirePayload(WireKind kind, int client, int round, int total_groups,
+              std::vector<WireGroup> groups);
+
   WireKind kind_ = WireKind::kUplink;
   int client_ = 0;
   int round_ = 0;
@@ -137,6 +140,18 @@ WirePayload BuildUplinkPayload(const ActivationState& state, int client,
 WirePayload BuildDenseUplinkPayload(const std::vector<int>& groups,
                                     int client, int round,
                                     const tensor::ParameterStore& params);
+
+/// Whether `uplink` has exactly the shape the server expects from
+/// `client` in `round`: an uplink header naming that client and round for
+/// `model`'s group count, and the entries (group ids, sizes, mask bytes)
+/// that BuildUplinkPayload would build under `state`'s masks — or, with
+/// `state` null, that BuildDenseUplinkPayload would build over `groups`.
+/// Values are neither compared nor copied. A payload that passes also
+/// passes CheckLayout(model), so ApplyTo onto `model`'s layout succeeds.
+[[nodiscard]] core::Status CheckUplinkShape(
+    const WirePayload& uplink, const ActivationState* state,
+    const std::vector<int>& groups, int client, int round,
+    const tensor::ParameterStore& model);
 
 /// Downlink: the global values of exactly `groups` (the groups the client
 /// requests and does not already hold current), each sent whole. An empty

@@ -513,8 +513,8 @@ Var SegmentSoftmax(Graph* g, Var logits,
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& dl = bg->mutable_grad(logits);
-        const auto csr = kernels::GetCsr(segment_ids, num_segments);
-        kernels::SegmentSoftmaxGrad(yv.data(), dy.data(), *csr, dl.data(),
+        const auto bcsr = kernels::GetCsr(segment_ids, num_segments);
+        kernels::SegmentSoftmaxGrad(yv.data(), dy.data(), *bcsr, dl.data(),
                                     bg->pool());
       },
       rg);

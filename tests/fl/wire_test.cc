@@ -341,6 +341,62 @@ TEST(WirePayloadTest, ApplyToRejectsLayoutMismatch) {
   EXPECT_FALSE(payload.ApplyTo(&wrong_size).ok());
 }
 
+TEST(WirePayloadTest, CheckUplinkShapeAcceptsOnlyTheRequestedShape) {
+  const ParameterStore model = MakeStore(15);
+  // Values never matter: the sender trained its own copy.
+  const ParameterStore trained = MakeStore(16);
+
+  // FedAvg: a dense uplink of exactly the selected groups.
+  const std::vector<int> selected = {0, 2, 3};
+  auto dense_shape = [&](const WirePayload& uplink, int client, int round) {
+    return CheckUplinkShape(uplink, nullptr, selected, client, round, model);
+  };
+  EXPECT_TRUE(
+      dense_shape(BuildDenseUplinkPayload(selected, 1, 4, trained), 1, 4)
+          .ok());
+  EXPECT_FALSE(  // a selected group is missing
+      dense_shape(BuildDenseUplinkPayload({0, 2}, 1, 4, trained), 1, 4).ok());
+  EXPECT_FALSE(  // an unselected group is carried
+      dense_shape(BuildDenseUplinkPayload({0, 1, 2, 3}, 1, 4, trained), 1, 4)
+          .ok());
+  EXPECT_FALSE(  // another client's or another round's header
+      dense_shape(BuildDenseUplinkPayload(selected, 2, 4, trained), 1, 4)
+          .ok());
+  EXPECT_FALSE(
+      dense_shape(BuildDenseUplinkPayload(selected, 1, 5, trained), 1, 4)
+          .ok());
+  EXPECT_FALSE(  // a downlink is not an uplink
+      dense_shape(BuildDownlinkPayload(selected, 1, 4, trained), 1, 4).ok());
+
+  // FedDA at scalar granularity: client 0 keeps the odd units and client 1
+  // the even ones, so both send every group, under different mask bits.
+  ActivationOptions options;
+  options.granularity = ActivationGranularity::kScalar;
+  ActivationState state(2, model, options);
+  std::vector<std::vector<double>> mags(
+      2, std::vector<double>(static_cast<size_t>(state.num_units())));
+  for (int64_t u = 0; u < state.num_units(); ++u) {
+    mags[0][static_cast<size_t>(u)] = static_cast<double>(u % 2);
+    mags[1][static_cast<size_t>(u)] = static_cast<double>(1 - u % 2);
+  }
+  state.UpdateMasks({0, 1}, mags);
+  const WirePayload own = BuildUplinkPayload(state, 0, 4, trained);
+  const WirePayload other = BuildUplinkPayload(state, 1, 4, trained);
+  ASSERT_EQ(own.groups().size(), other.groups().size());
+  EXPECT_TRUE(CheckUplinkShape(own, &state, {}, 0, 4, model).ok());
+  EXPECT_TRUE(CheckUplinkShape(other, &state, {}, 1, 4, model).ok());
+  // Client 1's entries under client 0's header: same groups, other bits.
+  const WirePayload relabeled = [&] {
+    std::vector<uint8_t> bytes = other.Serialize();
+    bytes[12] = 0;  // header: magic, version, kind, then the client id
+    WirePayload decoded;
+    EXPECT_TRUE(decoded.Deserialize(bytes).ok());
+    return decoded;
+  }();
+  ASSERT_EQ(relabeled.client(), 0);
+  EXPECT_FALSE(CheckUplinkShape(relabeled, &state, {}, 0, 4, model).ok());
+}
+
 TEST(DownlinkVersionTrackerTest, RoundZeroEverythingIsStale) {
   DownlinkVersionTracker tracker(/*num_clients=*/2, /*num_groups=*/3);
   // Cached versions start at -1 ("never sent"), group versions at 0, so

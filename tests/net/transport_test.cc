@@ -413,11 +413,17 @@ enum class FailureMode {
   // (or an infinite loss), then waits for the server to shut it down.
   kNonFiniteReply,
   kNonFiniteLoss,
+  // Hostile client: a reply with the right layout and finite values that
+  // omits the last requested group, then waits for the server to shut it
+  // down.
+  kMissingGroup,
 };
 
 /// A dense uplink with the test model's exact layout, so it passes every
-/// layout check; with `poison`, its first value is NaN.
-fl::WirePayload RightLayoutUplink(int client_id, bool poison) {
+/// layout check; with `poison`, its first value is NaN; with `drop_last`,
+/// it omits the last group.
+fl::WirePayload RightLayoutUplink(int client_id, bool poison,
+                                  bool drop_last) {
   ParameterStore params =
       fl::FederatedSystem::Build(TestSystemConfig()).MakeInitialStore(1);
   if (poison) {
@@ -425,6 +431,7 @@ fl::WirePayload RightLayoutUplink(int client_id, bool poison) {
   }
   std::vector<int> groups(static_cast<size_t>(params.num_groups()));
   std::iota(groups.begin(), groups.end(), 0);
+  if (drop_last) groups.pop_back();
   return fl::BuildDenseUplinkPayload(groups, client_id, 0, params);
 }
 
@@ -449,7 +456,8 @@ void RunDoomedClient(const std::string& address, int client_id,
   }
   if (mode == FailureMode::kWrongLayoutReply ||
       mode == FailureMode::kNonFiniteReply ||
-      mode == FailureMode::kNonFiniteLoss) {
+      mode == FailureMode::kNonFiniteLoss ||
+      mode == FailureMode::kMissingGroup) {
     RoundReplyMessage reply;
     reply.client = client_id;
     reply.round = 0;
@@ -461,7 +469,8 @@ void RunDoomedClient(const std::string& address, int client_id,
             ? fl::BuildDenseUplinkPayload({0, 1, 2}, client_id, 0,
                                           MakeStore(5))
             : RightLayoutUplink(client_id,
-                                mode == FailureMode::kNonFiniteReply);
+                                mode == FailureMode::kNonFiniteReply,
+                                mode == FailureMode::kMissingGroup);
     ASSERT_TRUE(
         WriteFrame(&socket, FrameType::kRoundReply, EncodeRoundReply(reply))
             .ok());
@@ -614,6 +623,16 @@ TEST(SocketTransportTest, NonFiniteReplyBecomesADepartureNotAPoisonedModel) {
                                  "nan-impostor", "nan-reference");
   ExpectReplyExpelledAsDeparture(FailureMode::kNonFiniteLoss,
                                  "inf-loss-impostor", "inf-loss-reference");
+}
+
+TEST(SocketTransportTest, MissingGroupReplyBecomesADepartureNotAStaleAverage) {
+  // Regression: a well-formed, finite reply that omitted a requested group
+  // passed the layout check, and aggregation folded the omitted group in
+  // at its broadcast value with full weight, dragging the average back
+  // toward the old model.
+  ExpectReplyExpelledAsDeparture(FailureMode::kMissingGroup,
+                                 "missing-group-impostor",
+                                 "missing-group-reference");
 }
 
 // ---- hostile round tasks -------------------------------------------------
