@@ -28,6 +28,7 @@
 #include "core/timer.h"
 #include "fl/aggregator.h"
 #include "fl/event_queue.h"
+#include "fl/wire.h"
 #include "tensor/parameter_store.h"
 #include "tensor/tensor.h"
 
@@ -122,12 +123,14 @@ SweepResult RunOneScale(int64_t num_clients, int rounds, int participants,
     }
     // Drain: regenerate each arriving update on demand, fold it into the
     // running sums, and let it die. Peak live updates: exactly one.
-    fl::StreamingAggregator aggregator(&global, nullptr, all_groups,
-                                       fl::StreamingAggregator::Config{});
+    fl::StreamingAggregator aggregator(&global, nullptr);
     while (!queue.empty()) {
       const fl::Event event = queue.Pop();
       SynthesizeUpdate(seed, event.round, event.client, global, &scratch);
-      aggregator.Accumulate(event.client, 1.0, scratch);
+      aggregator.Accumulate(
+          event.client, 1.0,
+          fl::BuildDenseUplinkPayload(all_groups, event.client, round,
+                                      scratch));
     }
     std::vector<uint8_t> groups_updated;
     aggregator.Finalize(&global, &groups_updated);

@@ -55,20 +55,13 @@ ActivationState::ActivationState(int num_clients,
   FEDDA_CHECK(options.alpha >= 0.0 && options.alpha <= 1.0);
 
   total_groups_ = reference.num_groups();
-  total_scalars_ = reference.num_scalars();
   group_sizes_.resize(static_cast<size_t>(total_groups_));
-  group_disentangled_.resize(static_cast<size_t>(total_groups_));
   group_first_unit_.assign(static_cast<size_t>(total_groups_), -1);
 
   for (int gid = 0; gid < reference.num_groups(); ++gid) {
     const size_t s = static_cast<size_t>(gid);
     group_sizes_[s] = reference.value(gid).size();
-    group_disentangled_[s] = reference.info(gid).disentangled;
-    if (!group_disentangled_[s]) {
-      ++nondisentangled_groups_;
-      nondisentangled_scalars_ += group_sizes_[s];
-      continue;
-    }
+    if (!reference.info(gid).disentangled) continue;
     group_first_unit_[s] = num_units_;
     const int64_t units =
         options.granularity == ActivationGranularity::kTensor
@@ -125,51 +118,33 @@ int64_t ActivationState::ActiveUnits(int client) const {
       std::count(mask.begin(), mask.end(), uint8_t{1}));
 }
 
-int64_t ActivationState::TransmittedGroups(int client) const {
-  int64_t groups = nondisentangled_groups_;
-  for (int gid = 0; gid < total_groups_; ++gid) {
-    if (group_first_unit_[static_cast<size_t>(gid)] < 0) continue;
-    if (GroupRequested(client, gid)) ++groups;
-  }
-  return groups;
-}
-
-int64_t ActivationState::TransmittedScalars(int client) const {
-  int64_t scalars = nondisentangled_scalars_;
-  if (options_.granularity == ActivationGranularity::kTensor) {
-    for (int64_t u = 0; u < num_units_; ++u) {
-      if (UnitActive(client, u)) {
-        scalars += group_sizes_[static_cast<size_t>(UnitGroup(u))];
-      }
-    }
-  } else {
-    scalars += ActiveUnits(client);
-  }
-  return scalars;
-}
-
 void ActivationState::UpdateMasks(
     const std::vector<int>& participants,
-    const std::vector<std::vector<double>>& magnitudes) {
+    const std::vector<std::vector<UnitMagnitude>>& magnitudes) {
   FEDDA_CHECK_EQ(participants.size(), magnitudes.size());
   for (const auto& m : magnitudes) {
     FEDDA_CHECK_EQ(static_cast<int64_t>(m.size()), num_units_);
   }
+  auto returned = [&](size_t p, int64_t u) {
+    return magnitudes[p][static_cast<size_t>(u)].has_value() &&
+           UnitActive(participants[p], u);
+  };
   std::vector<double> contributing;
   for (int64_t u = 0; u < num_units_; ++u) {
     // Threshold over contributing clients only.
     contributing.clear();
     for (size_t p = 0; p < participants.size(); ++p) {
-      if (!UnitActive(participants[p], u)) continue;
-      contributing.push_back(magnitudes[p][static_cast<size_t>(u)]);
+      if (returned(p, u)) {
+        contributing.push_back(*magnitudes[p][static_cast<size_t>(u)]);
+      }
     }
     if (contributing.empty()) continue;
     const double threshold = ComputeThreshold(&contributing, options_);
     for (size_t p = 0; p < participants.size(); ++p) {
-      const int client = participants[p];
-      if (!UnitActive(client, u)) continue;
-      if (magnitudes[p][static_cast<size_t>(u)] < threshold) {
-        masks_[static_cast<size_t>(client)][static_cast<size_t>(u)] = 0;
+      if (!returned(p, u)) continue;
+      if (*magnitudes[p][static_cast<size_t>(u)] < threshold) {
+        masks_[static_cast<size_t>(participants[p])]
+              [static_cast<size_t>(u)] = 0;
       }
     }
   }
@@ -244,20 +219,17 @@ int64_t ActivationState::GroupUnitCount(int group) const {
 }
 
 namespace {
-/// v1 files (one u32 per mask bit, no options) keep loading; Save always
-/// writes v2, which bit-packs masks via the wire-format codec (32x smaller
-/// mask blocks) and persists the deactivation options so a checkpoint
-/// cannot silently resume under different rules. The two formats are
-/// distinguished by magic.
-constexpr uint32_t kActivationMagicV1 = 0xF3DDAAC7;
-constexpr uint32_t kActivationMagicV2 = 0xF3DDAAC8;
+/// Save bit-packs masks via the wire-format codec and persists the
+/// deactivation options, so a checkpoint cannot silently resume under
+/// different rules.
+constexpr uint32_t kActivationMagic = 0xF3DDAAC8;
 constexpr uint32_t kActivationVersion = 2;
 }  // namespace
 
 core::Status ActivationState::Save(const std::string& path) const {
   core::BinaryWriter writer;
   FEDDA_RETURN_IF_ERROR(writer.Open(path));
-  writer.WriteU32(kActivationMagicV2);
+  writer.WriteU32(kActivationMagic);
   writer.WriteU32(kActivationVersion);
   writer.WriteU32(static_cast<uint32_t>(num_clients_));
   writer.WriteU32(options_.granularity == ActivationGranularity::kTensor ? 0
@@ -281,13 +253,11 @@ core::Status ActivationState::Save(const std::string& path) const {
 core::Status ActivationState::Load(const std::string& path) {
   core::BinaryReader reader;
   FEDDA_RETURN_IF_ERROR(reader.Open(path));
-  const uint32_t magic = reader.ReadU32();
-  if (magic != kActivationMagicV1 && magic != kActivationMagicV2) {
+  if (reader.ReadU32() != kActivationMagic) {
     return core::Status::InvalidArgument("not an activation-state file: " +
                                          path);
   }
-  if (magic == kActivationMagicV2 &&
-      reader.ReadU32() != kActivationVersion) {
+  if (reader.ReadU32() != kActivationVersion) {
     return core::Status::InvalidArgument("unsupported activation-state "
                                          "version");
   }
@@ -303,49 +273,32 @@ core::Status ActivationState::Load(const std::string& path) {
   if (reader.ReadI64() != num_units_) {
     return core::Status::InvalidArgument("unit count mismatch");
   }
-  if (magic == kActivationMagicV2) {
-    // v1 files predate option persistence and are accepted as-is; v2
-    // checkpoints must have been written under the exact deactivation
-    // options this state runs with, like the granularity check above.
-    if (reader.ReadDouble() != options_.alpha) {
-      return core::Status::InvalidArgument("alpha mismatch");
-    }
-    if (reader.ReadU32() !=
-        static_cast<uint32_t>(options_.threshold_rule)) {
-      return core::Status::InvalidArgument("threshold rule mismatch");
-    }
-    if (reader.ReadDouble() != options_.threshold_percentile) {
-      return core::Status::InvalidArgument("threshold percentile mismatch");
-    }
+  // A checkpoint must have been written under the exact deactivation
+  // options this state runs with, like the granularity check above.
+  if (reader.ReadDouble() != options_.alpha) {
+    return core::Status::InvalidArgument("alpha mismatch");
+  }
+  if (reader.ReadU32() != static_cast<uint32_t>(options_.threshold_rule)) {
+    return core::Status::InvalidArgument("threshold rule mismatch");
+  }
+  if (reader.ReadDouble() != options_.threshold_percentile) {
+    return core::Status::InvalidArgument("threshold percentile mismatch");
   }
 
-  std::vector<bool> active(static_cast<size_t>(num_clients_), true);
-  std::vector<std::vector<uint8_t>> masks(
-      static_cast<size_t>(num_clients_),
-      std::vector<uint8_t>(static_cast<size_t>(num_units_), 1));
-  if (magic == kActivationMagicV2) {
-    const std::vector<uint8_t> packed_active =
-        reader.ReadBytes((static_cast<size_t>(num_clients_) + 7) / 8);
+  std::vector<bool> active(static_cast<size_t>(num_clients_));
+  std::vector<std::vector<uint8_t>> masks(static_cast<size_t>(num_clients_));
+  const std::vector<uint8_t> packed_active =
+      reader.ReadBytes((static_cast<size_t>(num_clients_) + 7) / 8);
+  if (!reader.status().ok()) return reader.status();
+  const std::vector<uint8_t> active_bits =
+      UnpackBits(packed_active, static_cast<size_t>(num_clients_));
+  for (int c = 0; c < num_clients_; ++c) {
+    active[static_cast<size_t>(c)] = active_bits[static_cast<size_t>(c)] != 0;
+    const std::vector<uint8_t> packed_mask =
+        reader.ReadBytes((static_cast<size_t>(num_units_) + 7) / 8);
     if (!reader.status().ok()) return reader.status();
-    const std::vector<uint8_t> active_bits =
-        UnpackBits(packed_active, static_cast<size_t>(num_clients_));
-    for (int c = 0; c < num_clients_; ++c) {
-      active[static_cast<size_t>(c)] =
-          active_bits[static_cast<size_t>(c)] != 0;
-      const std::vector<uint8_t> packed_mask =
-          reader.ReadBytes((static_cast<size_t>(num_units_) + 7) / 8);
-      if (!reader.status().ok()) return reader.status();
-      masks[static_cast<size_t>(c)] =
-          UnpackBits(packed_mask, static_cast<size_t>(num_units_));
-    }
-  } else {
-    for (int c = 0; c < num_clients_; ++c) {
-      active[static_cast<size_t>(c)] = reader.ReadU32() != 0;
-      for (int64_t u = 0; u < num_units_; ++u) {
-        masks[static_cast<size_t>(c)][static_cast<size_t>(u)] =
-            reader.ReadU32() != 0 ? 1 : 0;
-      }
-    }
+    masks[static_cast<size_t>(c)] =
+        UnpackBits(packed_mask, static_cast<size_t>(num_units_));
   }
   if (!reader.status().ok()) return reader.status();
   if (!reader.AtEof()) {

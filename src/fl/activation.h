@@ -2,6 +2,7 @@
 #define FEDDA_FL_ACTIVATION_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,10 @@ struct ActivationOptions {
 double ComputeThreshold(std::vector<double>* magnitudes,
                         const ActivationOptions& options);
 
+/// A participant's |delta| magnitude for one unit, or nothing for a unit its
+/// update did not carry.
+using UnitMagnitude = std::optional<double>;
+
 /// Server-side dynamic activation state: the active client set D_A and the
 /// per-client parameter request masks I_i (paper Sec. 5.2-5.3).
 ///
@@ -81,20 +86,14 @@ class ActivationState {
   /// Active unit count of a client (the sum over I_i in the alpha rule).
   int64_t ActiveUnits(int client) const;
 
-  /// Uplink cost of `client` this round, in parameter groups and scalars.
-  /// At tensor granularity a masked group costs 0; at scalar granularity a
-  /// partially masked group costs its active scalars (and counts as
-  /// transmitted if any scalar is active).
-  int64_t TransmittedGroups(int client) const;
-  int64_t TransmittedScalars(int client) const;
-
   /// Mask update from returned pseudo-gradients. `participants` are the
-  /// clients that trained this round; `magnitudes[p][u]` is participant
-  /// p's |delta| magnitude for unit u (mean |delta| over the group at
-  /// tensor granularity). Units the client did not return (mask 0) are
-  /// ignored in both the mean and the update.
+  /// clients whose updates were aggregated; `magnitudes[p][u]` is
+  /// participant p's |delta| magnitude for unit u (mean |delta| over the
+  /// group at tensor granularity). A unit p did not return — no magnitude,
+  /// or a unit p's mask does not request — is ignored in both the
+  /// threshold and the update, so it keeps its current bit.
   void UpdateMasks(const std::vector<int>& participants,
-                   const std::vector<std::vector<double>>& magnitudes);
+                   const std::vector<std::vector<UnitMagnitude>>& magnitudes);
 
   /// Applies the alpha occupation rule to `participants`; returns the
   /// clients deactivated by it (removed from D_A).
@@ -123,9 +122,9 @@ class ActivationState {
   /// a FedDA run after a crash: pair with a ParameterStore checkpoint.
   [[nodiscard]] core::Status Save(const std::string& path) const;
   /// Restores state saved by Save(); the layout (client count, granularity,
-  /// unit count) and — for v2 files — the deactivation options (alpha,
-  /// threshold rule, percentile) must match this instance's construction.
-  /// Legacy v1 files (unpacked masks, no options) still load.
+  /// unit count) and the deactivation options (alpha, threshold rule,
+  /// percentile) must match this instance's construction. Any other file,
+  /// including the retired v1 format, yields InvalidArgument.
   [[nodiscard]] core::Status Load(const std::string& path);
 
   // -- Layout helpers shared with the runner --------------------------------
@@ -146,13 +145,9 @@ class ActivationState {
 
   // Layout derived from the reference store.
   std::vector<int64_t> group_sizes_;
-  std::vector<bool> group_disentangled_;
   std::vector<int64_t> group_first_unit_;  // -1 for non-disentangled
   std::vector<int> unit_group_;
   int64_t total_groups_ = 0;
-  int64_t total_scalars_ = 0;
-  int64_t nondisentangled_groups_ = 0;
-  int64_t nondisentangled_scalars_ = 0;
 
   std::vector<bool> client_active_;
   /// masks_[client] has num_units_ entries.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "tensor/kernels/kernels.h"
 
 namespace fedda::fl {
 
@@ -11,79 +12,81 @@ using tensor::ParameterStore;
 using tensor::Tensor;
 
 StreamingAggregator::StreamingAggregator(const ParameterStore* reference,
-                                         const ActivationState* state,
-                                         std::vector<int> selected_groups,
-                                         Config config)
-    : reference_(reference), state_(state), config_(config) {
+                                         const ActivationState* state)
+    : reference_(reference), state_(state) {
   FEDDA_CHECK(reference_ != nullptr);
   const size_t num_groups = static_cast<size_t>(reference_->num_groups());
-  if (config_.fedda) {
-    FEDDA_CHECK(state_ != nullptr) << "FedDA aggregation needs masks";
-  } else {
-    group_selected_.assign(num_groups, 0);
-    for (int gid : selected_groups) {
-      group_selected_[static_cast<size_t>(gid)] = 1;
-    }
-  }
   sums_.resize(num_groups);
   total_weight_.assign(num_groups, 0.0);
-  if (config_.fedda && config_.scalar_granularity) {
-    scalar_sums_.resize(num_groups);
-    scalar_weights_.resize(num_groups);
-  }
+  scalar_sums_.resize(num_groups);
+  scalar_weights_.resize(num_groups);
 }
 
-std::vector<double> StreamingAggregator::Accumulate(
-    int client, double weight, const ParameterStore& update) {
+bool StreamingAggregator::PerScalar(int gid) const {
+  return state_ != nullptr &&
+         state_->options().granularity == ActivationGranularity::kScalar &&
+         state_->GroupFirstUnit(gid) >= 0;
+}
+
+std::vector<UnitMagnitude> StreamingAggregator::Accumulate(
+    int client, double weight, const WirePayload& uplink) {
   FEDDA_CHECK(!finalized_);
-  std::vector<double> magnitudes;
-  if (config_.fedda) {
-    magnitudes.assign(static_cast<size_t>(state_->num_units()), 0.0);
+  FEDDA_CHECK_EQ(uplink.total_groups(), reference_->num_groups())
+      << "uplink of client " << client << " was built for another model";
+  std::vector<UnitMagnitude> magnitudes;
+  if (state_ != nullptr) {
+    magnitudes.resize(static_cast<size_t>(state_->num_units()));
   }
 
-  for (int gid = 0; gid < reference_->num_groups(); ++gid) {
+  // A WirePayload is only ever built by the fl/wire.h builders or
+  // Deserialize, so each entry already holds `size` values (dense) or one
+  // value per set mask bit (masked).
+  for (const WireGroup& entry : uplink.groups()) {
+    const int gid = entry.group;
     const size_t g = static_cast<size_t>(gid);
-    const Tensor& cv = update.value(gid);
+    const Tensor& old = reference_->value(gid);
+    FEDDA_CHECK_EQ(entry.size, old.size()) << "group " << gid;
+    const bool per_scalar = PerScalar(gid);
+    FEDDA_CHECK_EQ(entry.mask.empty(), !per_scalar)
+        << "group " << gid << " carried in the wrong encoding";
+    const float* values = entry.values.data();
 
-    if (!config_.fedda) {
-      // FedAvg: dense contribution to every group in the round's subset.
-      if (!group_selected_[g]) continue;
-      if (sums_[g].size() == 0) sums_[g] = Tensor(cv.rows(), cv.cols());
-      sums_[g].Axpy(static_cast<float>(weight), cv);
+    if (!per_scalar) {
+      // Whole group (FedAvg, groups outside [N_d], tensor granularity).
+      if (sums_[g].size() == 0) sums_[g] = Tensor(old.rows(), old.cols());
+      tensor::kernels::AccumulateAxpy(sums_[g].data(),
+                                      static_cast<float>(weight), values,
+                                      entry.size, nullptr);
       total_weight_[g] += weight;
-      continue;
-    }
-
-    const int64_t first_unit = state_->GroupFirstUnit(gid);
-    const bool maskable = first_unit >= 0;
-
-    if (!maskable || !config_.scalar_granularity) {
-      // Whole-group path: groups outside [N_d] take everyone; maskable
-      // groups at tensor granularity take only clients whose mask is on.
-      if (maskable && !state_->UnitActive(client, first_unit)) continue;
-      if (sums_[g].size() == 0) sums_[g] = Tensor(cv.rows(), cv.cols());
-      sums_[g].Axpy(static_cast<float>(weight), cv);
-      total_weight_[g] += weight;
-      if (maskable) {
-        // Tensor-granularity magnitude: mean |delta| over the group.
-        const Tensor delta = cv.Sub(reference_->value(gid));
-        magnitudes[static_cast<size_t>(first_unit)] = delta.AbsMean();
+      const int64_t unit = state_ == nullptr ? -1 : state_->GroupFirstUnit(gid);
+      if (unit >= 0) {
+        // Tensor-granularity magnitude: mean |delta| over the group, in
+        // Tensor::Sub + AbsMean's arithmetic.
+        double total = 0.0;
+        for (int64_t s = 0; s < entry.size; ++s) {
+          total += std::fabs(values[s] - old.data()[s]);
+        }
+        magnitudes[static_cast<size_t>(unit)] =
+            entry.size == 0 ? 0.0 : total / static_cast<double>(entry.size);
       }
       continue;
     }
 
-    // Scalar granularity on a disentangled group: per-scalar contributors.
-    const int64_t size = cv.size();
-    const Tensor& old = reference_->value(gid);
+    // Scalar granularity on a disentangled group: the carried scalars are
+    // the set mask bits, in group order.
     std::vector<double>& sums = scalar_sums_[g];
     std::vector<double>& weights = scalar_weights_[g];
-    for (int64_t s = 0; s < size; ++s) {
-      if (!state_->UnitActive(client, first_unit + s)) continue;
-      if (sums.empty()) {
-        sums.assign(static_cast<size_t>(size), 0.0);
-        weights.assign(static_cast<size_t>(size), 0.0);
+    if (sums.empty()) {
+      sums.assign(static_cast<size_t>(entry.size), 0.0);
+      weights.assign(static_cast<size_t>(entry.size), 0.0);
+    }
+    const int64_t first_unit = state_->GroupFirstUnit(gid);
+    size_t next_value = 0;
+    for (int64_t s = 0; s < entry.size; ++s) {
+      if (!(entry.mask[static_cast<size_t>(s / 8)] & (1u << (s % 8)))) {
+        continue;
       }
-      const float value = cv.data()[s];
+      const float value = values[next_value++];
       sums[static_cast<size_t>(s)] += weight * value;
       weights[static_cast<size_t>(s)] += weight;
       magnitudes[static_cast<size_t>(first_unit + s)] =
@@ -103,11 +106,10 @@ void StreamingAggregator::Finalize(ParameterStore* global,
   for (int gid = 0; gid < global->num_groups(); ++gid) {
     const size_t g = static_cast<size_t>(gid);
 
-    if (config_.fedda && config_.scalar_granularity &&
-        state_->GroupFirstUnit(gid) >= 0) {
-      // Scalar-granularity group: write contributed scalars, keep the rest.
+    if (PerScalar(gid)) {
+      // Write contributed scalars, keep the rest.
       const std::vector<double>& sums = scalar_sums_[g];
-      if (sums.empty()) continue;  // no client contributed any scalar
+      if (sums.empty()) continue;  // no client carried any scalar
       const std::vector<double>& weights = scalar_weights_[g];
       Tensor& target = global->value(gid);
       const Tensor& old = reference_->value(gid);

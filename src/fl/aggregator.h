@@ -4,86 +4,77 @@
 #include <vector>
 
 #include "fl/activation.h"
+#include "fl/wire.h"
 #include "tensor/parameter_store.h"
 
 namespace fedda::fl {
 
-/// Streaming (running-sum) masked aggregation.
+/// Streaming (running-sum) masked aggregation of uplink payloads.
 ///
-/// The old server path materialized every participant's full update
-/// simultaneously and folded them in one pass, so peak server memory was
-/// O(participants x model). StreamingAggregator consumes one update at a
-/// time into per-group running weighted sums — the caller can hand each
-/// update off by move and free it immediately after Accumulate() returns —
-/// so peak server memory is O(model): one set of accumulators plus the one
-/// update in flight.
+/// Contract: the server aggregates what was sent. Accumulate() folds in
+/// exactly the entries an uplink payload carries — never the server's
+/// current masks, which a Restart or Explore reactivation may have reset
+/// while the update was in flight — so Eq. 6's contributor set for each
+/// unit is the set of payloads that carried it. One payload is consumed at
+/// a time into per-group running weighted sums and may be freed as soon as
+/// Accumulate() returns, so peak server memory is O(model): one set of
+/// accumulators plus the payloads in flight.
 ///
-/// Bit-compatibility contract: feeding participants in the same order as
-/// the old one-pass aggregation performed its inner loops produces
-/// bit-identical results (same float Axpy sequence per whole group, same
-/// double-addition sequence per scalar), which is what keeps the seeded
-/// golden runs pinned across the refactor. The per-participant |delta|
-/// magnitudes for the mask update are computed incrementally inside
-/// Accumulate() for the same reason.
+/// Sums are a fixed function of the participant order: one float Axpy per
+/// whole group (dense entries) and one double addition per carried scalar
+/// (masked entries), so a seeded run is bit-identical across thread
+/// counts and across in-process vs. wire execution. The per-participant
+/// |delta| magnitudes for the mask update are computed in the same pass.
 class StreamingAggregator {
  public:
-  struct Config {
-    /// FedDA masked aggregation (Eq. 6) with per-unit magnitudes; false =
-    /// FedAvg dense aggregation over `selected_groups`.
-    bool fedda = false;
-    /// FedDA only: per-scalar masks inside disentangled groups.
-    bool scalar_granularity = false;
-  };
-
   /// `reference` holds the pre-round global values the participants trained
-  /// on; it must stay alive and unchanged until Finalize(). `state` supplies
-  /// the activation masks (required when config.fedda; ignored otherwise).
-  /// `selected_groups` are the round's FedAvg groups (ascending; ignored
-  /// when config.fedda — FedDA aggregates every group its masks touch).
+  /// on; it must stay alive and unchanged until Finalize(). `state` is null
+  /// for FedAvg (dense payloads, no magnitudes); for FedDA it supplies the
+  /// unit layout and granularity — its masks are never read.
   StreamingAggregator(const tensor::ParameterStore* reference,
-                      const ActivationState* state,
-                      std::vector<int> selected_groups, Config config);
+                      const ActivationState* state);
 
   StreamingAggregator(const StreamingAggregator&) = delete;
   StreamingAggregator& operator=(const StreamingAggregator&) = delete;
 
-  /// Folds one participant's update into the running sums with aggregation
+  /// Folds one participant's uplink into the running sums with aggregation
   /// weight `weight` (uniform 1.0, task-size proportional, or
-  /// staleness-discounted — the caller decides). `update` must match the
-  /// reference layout and may be destroyed as soon as this returns.
+  /// staleness-discounted — the caller decides). `uplink` must match the
+  /// reference layout; it is not retained.
   ///
   /// Returns the participant's per-unit |delta| magnitudes against the
   /// reference (FedDA; empty for FedAvg): the pseudo-gradient input of the
-  /// post-round mask update, computed here so no caller ever needs all
-  /// updates alive at once.
-  std::vector<double> Accumulate(int client, double weight,
-                                 const tensor::ParameterStore& update);
+  /// post-round mask update. A unit the payload did not carry has no
+  /// magnitude, so UpdateMasks neither judges it nor counts it in the
+  /// threshold.
+  std::vector<UnitMagnitude> Accumulate(int client, double weight,
+                                        const WirePayload& uplink);
 
   /// Participants folded in so far.
   int num_consumed() const { return num_consumed_; }
 
   /// Writes the aggregate into `global` and flags every group written in
-  /// `groups_updated` (indexed by group id). Groups with no contributors
-  /// keep their values: `global` must hold the reference values on entry
-  /// (passing the same store `reference` points at is the intended use —
-  /// the server no longer needs a broadcast copy, because no global value
-  /// is overwritten before Finalize()). Call at most once.
+  /// `groups_updated` (indexed by group id). Groups and scalars with no
+  /// contributors keep their values: `global` must hold the reference
+  /// values on entry (passing the same store `reference` points at is the
+  /// intended use — the server needs no broadcast copy, because no global
+  /// value is overwritten before Finalize()). Call at most once.
   void Finalize(tensor::ParameterStore* global,
                 std::vector<uint8_t>* groups_updated);
 
  private:
+  /// Whether `gid` aggregates per scalar (a disentangled group under
+  /// scalar-granularity FedDA) rather than as a whole.
+  bool PerScalar(int gid) const;
+
   const tensor::ParameterStore* reference_;
   const ActivationState* state_;
-  Config config_;
-  std::vector<uint8_t> group_selected_;  // FedAvg round subset
-  /// Whole-group accumulators (FedAvg groups; FedDA non-scalar path), empty
-  /// tensors for groups never aggregated. Allocated lazily on first
-  /// contribution so an aggressively masked round costs only the groups it
-  /// touches.
+  /// Whole-group accumulators, empty tensors for groups never aggregated.
+  /// Allocated lazily on first contribution so an aggressively masked round
+  /// costs only the groups it touches.
   std::vector<tensor::Tensor> sums_;
   std::vector<double> total_weight_;
-  /// Scalar-granularity accumulators for disentangled groups (double, to
-  /// match the old per-scalar double accumulation exactly).
+  /// Per-scalar accumulators (double) for PerScalar groups.
   std::vector<std::vector<double>> scalar_sums_;
   std::vector<std::vector<double>> scalar_weights_;
   int num_consumed_ = 0;

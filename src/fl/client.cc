@@ -27,7 +27,7 @@ Client::Client(int id, std::unique_ptr<hgn::TrainableTask> task,
 double Client::Update(const tensor::ParameterStore& global,
                       const hgn::TrainOptions& options, core::Rng* rng) {
   if (store_.num_groups() == 0) {
-    // Re-materialize after TakeUpdate(): a full copy carries the same
+    // Re-materialize after TrainRound(): a full copy carries the same
     // values CopyValuesFrom would have written, and ZeroGrads restores the
     // constructor's gradient state.
     store_ = global;
@@ -38,9 +38,28 @@ double Client::Update(const tensor::ParameterStore& global,
   return TrainLocalOnly(options, rng);
 }
 
-tensor::ParameterStore Client::TakeUpdate() {
-  FEDDA_CHECK_GT(store_.num_groups(), 0) << "update already taken";
-  tensor::ParameterStore update = std::move(store_);
+ClientUpdate Client::TrainRound(const tensor::ParameterStore& global,
+                                const hgn::TrainOptions& options,
+                                double dp_noise_std,
+                                const ActivationState* masks,
+                                const std::vector<int>& groups, int round,
+                                core::Rng* rng) {
+  ClientUpdate update;
+  update.loss = Update(global, options, rng);
+  if (dp_noise_std > 0.0) {
+    // The server only ever sees the noisy values, including in the
+    // mask-update magnitudes.
+    for (int gid = 0; gid < store_.num_groups(); ++gid) {
+      tensor::Tensor& value = store_.value(gid);
+      for (int64_t k = 0; k < value.size(); ++k) {
+        value.data()[k] +=
+            static_cast<float>(rng->Gaussian(0.0, dp_noise_std));
+      }
+    }
+  }
+  update.uplink = masks != nullptr
+                      ? BuildUplinkPayload(*masks, id_, round, store_)
+                      : BuildDenseUplinkPayload(groups, id_, round, store_);
   store_ = tensor::ParameterStore();
   return update;
 }

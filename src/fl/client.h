@@ -4,11 +4,20 @@
 #include <memory>
 #include <vector>
 
+#include "fl/activation.h"
+#include "fl/wire.h"
 #include "graph/hetero_graph.h"
 #include "hgn/link_prediction.h"
 #include "tensor/parameter_store.h"
 
 namespace fedda::fl {
+
+/// What one participant returns for one round: its mean local training loss
+/// and the uplink payload it sends.
+struct ClientUpdate {
+  double loss = 0.0;
+  WirePayload uplink;
+};
 
 /// One federated client: owns its local sub-heterograph, its task edges
 /// (link-prediction targets restricted to its specialized types), and its
@@ -35,25 +44,27 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// ClientUpdate of Algorithm 1: replaces local weights with the broadcast
-  /// global weights, runs E local epochs of mini-batch training, and leaves
-  /// the result in params(). Returns the mean local training loss. A client
-  /// whose update was taken (TakeUpdate) is re-materialized from `global`
-  /// with identical values, so seeded results don't depend on whether the
-  /// server kept or consumed the previous round's update.
+  /// Replaces local weights with the broadcast global weights and runs E
+  /// local epochs of mini-batch training, leaving the result in params().
+  /// Returns the mean local training loss. A client whose store was
+  /// released (TrainRound) is re-materialized from `global` with identical
+  /// values.
   double Update(const tensor::ParameterStore& global,
                 const hgn::TrainOptions& options, core::Rng* rng);
 
-  /// Hands the post-training weights to the server by move: the returned
-  /// store owns the update and the client holds no parameters until the
-  /// next broadcast rebuilds them. This is what keeps streaming aggregation
-  /// O(model) on the server — each update is freed right after it is folded
-  /// into the running sums instead of staying alive in clients_ until the
-  /// end of the round.
-  tensor::ParameterStore TakeUpdate();
-
-  /// False between TakeUpdate() and the next Update().
-  bool has_params() const { return store_.num_groups() > 0; }
+  /// ClientUpdate of Algorithm 1, the one step every participant runs,
+  /// in-process or in a remote process: Update() on `global`, then Gaussian
+  /// noise of `dp_noise_std` on every scalar (drawn from `rng` after
+  /// training; 0 draws nothing), then the uplink for `round` — under
+  /// `masks`' request set for this client (FedDA), or with `masks` null the
+  /// dense `groups` (FedAvg). The payload is the only thing that leaves the
+  /// client, so the store is released afterwards; the next Update()
+  /// rebuilds it from the broadcast.
+  ClientUpdate TrainRound(const tensor::ParameterStore& global,
+                          const hgn::TrainOptions& options,
+                          double dp_noise_std, const ActivationState* masks,
+                          const std::vector<int>& groups, int round,
+                          core::Rng* rng);
 
   /// Continues training from the current local weights without a broadcast
   /// (used by the Local baseline).

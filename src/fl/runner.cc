@@ -17,7 +17,6 @@
 namespace fedda::fl {
 
 using tensor::ParameterStore;
-using tensor::Tensor;
 
 const char* FlAlgorithmName(FlAlgorithm algorithm) {
   switch (algorithm) {
@@ -142,7 +141,7 @@ double FederatedRunner::AggregationWeight(int client) const {
 
 void FederatedRunner::UpdateActivation(
     const std::vector<int>& aggregated,
-    const std::vector<std::vector<double>>& magnitudes,
+    const std::vector<std::vector<UnitMagnitude>>& magnitudes,
     ActivationState* state, core::Rng* rng) {
   const int m = num_clients();
   state->UpdateMasks(aggregated, magnitudes);
@@ -191,7 +190,6 @@ struct FederatedRunner::RoundLoop {
   ParameterStore* global;
   core::Rng* rng;
   bool is_fedda;
-  bool scalar_gran;
   bool semi_async;
   int num_groups;
   std::vector<int> all_groups;
@@ -229,18 +227,15 @@ struct FederatedRunner::RoundLoop {
   /// Client has an update (or a scheduled departure) in flight and must not
   /// be re-broadcast until the event is processed.
   std::vector<uint8_t> in_flight;
-  /// Loss and uplink accounting of a client's latest update, captured when
-  /// its training ended (under the masks it trained with) and charged when
-  /// the update arrives: the same round on a synchronous server, possibly a
-  /// later one on a semi-async server. Over a transport it also holds the
-  /// uplink that crossed the wire.
+  /// A client's latest update from the moment its training ends until it
+  /// arrives: the same round on a synchronous server, possibly a later one
+  /// on a semi-async server. `uplink` is the payload the client sent —
+  /// built in-process or received over a transport — and everything the
+  /// server charges and aggregates for the update is read off it.
   struct Pending {
     double loss = 0.0;
-    int64_t uplink_groups = 0;
-    int64_t uplink_scalars = 0;
-    int64_t uplink_bytes = 0;
     int64_t downlink_bytes = 0;
-    WirePayload remote_uplink;
+    WirePayload uplink;
   };
   std::vector<Pending> pending;
   /// An update reaching the server this round, and the age in rounds of
@@ -257,8 +252,6 @@ struct FederatedRunner::RoundLoop {
   RoundLoop(FederatedRunner* r, ParameterStore* global_store, core::Rng* g)
       : runner(r), global(global_store), rng(g),
         is_fedda(r->options_.algorithm != FlAlgorithm::kFedAvg),
-        scalar_gran(r->options_.activation.granularity ==
-                    ActivationGranularity::kScalar),
         semi_async(r->options_.aggregation_mode ==
                    AggregationMode::kSemiAsync),
         num_groups(global_store->num_groups()),
@@ -340,57 +333,53 @@ struct FederatedRunner::RoundLoop {
     mirror.InvalidateClient(c);
   }
 
-  /// Trains `trainers` on the global store in parallel. RNG streams are
-  /// split from the round RNG in trainer order before any update starts, so
-  /// the result is identical whether updates run sequentially or on the
-  /// pool. Streaming aggregation defers every global write to Finalize(),
-  /// so no value changes while clients read it.
-  std::vector<double> TrainClients(const std::vector<int>& trainers,
-                                   int round) {
+  /// The uplink request set of this round: FedDA clients send under their
+  /// masks in `state`; FedAvg clients send the dense `selected_groups`.
+  const ActivationState* UplinkMasks() const {
+    return is_fedda ? &state : nullptr;
+  }
+
+  /// Runs Client::TrainRound for `trainers` in parallel and keeps each
+  /// result in `pending`. RNG streams are split from the round RNG in
+  /// trainer order before any update starts, so the result is identical
+  /// whether updates run sequentially or on the pool. Streaming aggregation
+  /// defers every global write to Finalize(), so no value changes while
+  /// clients read it.
+  void TrainClients(const std::vector<int>& trainers,
+                    const std::vector<int>& selected_groups, int round) {
     std::vector<core::Rng> client_rngs;
     client_rngs.reserve(trainers.size());
     for (size_t p = 0; p < trainers.size(); ++p) {
       client_rngs.push_back(rng->Split());
     }
-    std::vector<double> losses(trainers.size(), 0.0);
     auto update_one = [&](int64_t p) {
       const int c = trainers[static_cast<size_t>(p)];
       // Runs on a pool worker when worker_threads > 0, exercising the
       // tracer's per-thread span buffers.
       obs::ScopedSpan client_span(tracer, "client-update", "client", c);
-      core::Rng& client_rng = client_rngs[static_cast<size_t>(p)];
-      losses[static_cast<size_t>(p)] =
-          client(c)->Update(*global, local_options, &client_rng);
-      if (options().dp_noise_std > 0.0) {
-        // Perturb the client's outgoing weights (the server only ever sees
-        // the noisy values, including in the mask-update magnitudes).
-        ParameterStore* params = client(c)->mutable_params();
-        for (int gid = 0; gid < params->num_groups(); ++gid) {
-          Tensor& value = params->value(gid);
-          for (int64_t k = 0; k < value.size(); ++k) {
-            value.data()[k] += static_cast<float>(
-                client_rng.Gaussian(0.0, options().dp_noise_std));
-          }
-        }
-      }
+      ClientUpdate update = client(c)->TrainRound(
+          *global, local_options, options().dp_noise_std, UplinkMasks(),
+          selected_groups, round, &client_rngs[static_cast<size_t>(p)]);
+      Pending& entry = pending[static_cast<size_t>(c)];
+      entry.loss = update.loss;
+      entry.uplink = std::move(update.uplink);
     };
     // With zero workers ParallelFor degenerates to the sequential loop;
     // with workers each client update is one chunk and the kernels inside
     // it recursively share the same pool.
     obs::ScopedSpan train_span(tracer, "local-train", "round", round);
     pool.ParallelFor(static_cast<int64_t>(trainers.size()), update_one);
-    return losses;
   }
 
   /// Transport mode's counterpart of TrainClients: ships each trainer its
   /// round task (split RNG state in TrainClients' order, the masks in
   /// force, a mirror resync), collects the replies, and departs trainers
   /// whose process died mid-round or whose reply is not the uplink the
-  /// server asked for. Returns the survivors' losses, aligned with the
-  /// pruned `trainers`; their uplinks land in `pending`.
-  std::vector<double> ExecuteRemoteRound(
-      std::vector<int>* trainers, const std::vector<int>& selected_groups,
-      int round, RoundRecord* record) {
+  /// server asked for. Prunes `trainers` to the survivors, whose replies
+  /// land in `pending`.
+  void ExecuteRemoteRound(std::vector<int>* trainers,
+                          const std::vector<int>& selected_groups, int round,
+                          RoundRecord* record) {
     std::vector<TransportTask> tasks;
     tasks.reserve(trainers->size());
     for (int c : *trainers) {
@@ -414,7 +403,6 @@ struct FederatedRunner::RoundLoop {
     std::vector<TransportReply> replies = transport->ExecuteRound(tasks);
     FEDDA_CHECK_EQ(replies.size(), tasks.size());
     std::vector<int> delivered;
-    std::vector<double> losses;
     for (size_t p = 0; p < replies.size(); ++p) {
       const int c = (*trainers)[p];
       TransportReply& reply = replies[p];
@@ -424,8 +412,8 @@ struct FederatedRunner::RoundLoop {
       // these would abort or skew the aggregate, so its sender is expelled
       // here, before anything aggregates.
       if (reply.ok &&
-          (!CheckUplinkShape(reply.uplink, is_fedda ? &state : nullptr,
-                             selected_groups, c, round, *global)
+          (!CheckUplinkShape(reply.uplink, UplinkMasks(), selected_groups, c,
+                             round, *global)
                 .ok() ||
            !AllFinite(reply))) {
         expelled[static_cast<size_t>(c)] = 1;
@@ -437,11 +425,11 @@ struct FederatedRunner::RoundLoop {
         continue;
       }
       delivered.push_back(c);
-      losses.push_back(reply.loss);
-      pending[static_cast<size_t>(c)].remote_uplink = std::move(reply.uplink);
+      Pending& entry = pending[static_cast<size_t>(c)];
+      entry.loss = reply.loss;
+      entry.uplink = std::move(reply.uplink);
     }
     *trainers = std::move(delivered);
-    return losses;
   }
 
   /// Virtual-time arrival source (semi-async mode): schedules each
@@ -475,7 +463,7 @@ struct FederatedRunner::RoundLoop {
     obs::ScopedSpan sched_span(tracer, "event-schedule", "round", round);
     for (int c : trainers) {
       queue.Push(now + duration(c, pending[static_cast<size_t>(c)]
-                                       .uplink_bytes),
+                                       .uplink.EncodedBytes()),
                  EventKind::kArrival, c, round);
       in_flight[static_cast<size_t>(c)] = 1;
     }
@@ -609,52 +597,28 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
     }
     std::sort(selected_groups.begin(), selected_groups.end());
   }
-  int64_t selected_scalars = 0;
-  for (int gid : selected_groups) {
-    selected_scalars += global->value(gid).size();
+
+  // 4. Train in-process, or remotely (which prunes the departed). Either
+  // way each trainer's uplink is built under the masks in force *this*
+  // round, before the post-aggregation mask update.
+  if (transport == nullptr) {
+    TrainClients(trainers, selected_groups, round);
+  } else {
+    ExecuteRemoteRound(&trainers, selected_groups, round, &record);
   }
 
-  // 4. Train in-process, or remotely (which prunes the departed).
-  const std::vector<double> losses =
-      transport == nullptr
-          ? TrainClients(trainers, round)
-          : ExecuteRemoteRound(&trainers, selected_groups, round, &record);
-
-  // 5. Charge the downlink of every client that received the broadcast,
-  // and capture each trainer's uplink under the masks in force *this*
-  // round (before the post-aggregation update). Bytes are measured off
-  // real fl/wire.h payloads, so they include entry headers and the
-  // bit-packed mask overhead. A transport measures the payload that
-  // crossed the wire; in-process rounds build it here. Both are the same
-  // bytes — the remote side runs the same builders on the same masks and
-  // weights.
+  // 5. Charge the downlink of every client that received the broadcast.
+  // Bytes are measured off real fl/wire.h payloads, so they include entry
+  // headers and the bit-packed mask overhead.
   {
     obs::ScopedSpan wire_span(tracer, "wire-encode", "round", round);
     for (int c : dropouts) {
       pending[static_cast<size_t>(c)].downlink_bytes =
           ChargeDownlink(c, round, &record);
     }
-    for (size_t p = 0; p < trainers.size(); ++p) {
-      const int c = trainers[p];
-      Pending& entry = pending[static_cast<size_t>(c)];
-      entry.downlink_bytes = ChargeDownlink(c, round, &record);
-      entry.loss = losses[p];
-      entry.uplink_groups =
-          is_fedda ? state.TransmittedGroups(c)
-                   : static_cast<int64_t>(selected_groups.size());
-      entry.uplink_scalars =
-          is_fedda ? state.TransmittedScalars(c) : selected_scalars;
-      if (transport != nullptr) {
-        entry.uplink_bytes = entry.remote_uplink.EncodedBytes();
-      } else if (is_fedda) {
-        entry.uplink_bytes =
-            BuildUplinkPayload(state, c, round, client(c)->params())
-                .EncodedBytes();
-      } else {
-        entry.uplink_bytes = BuildDenseUplinkPayload(selected_groups, c,
-                                                     round, client(c)->params())
-                                 .EncodedBytes();
-      }
+    for (int c : trainers) {
+      pending[static_cast<size_t>(c)].downlink_bytes =
+          ChargeDownlink(c, round, &record);
     }
   }
 
@@ -667,54 +631,38 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
     for (int c : trainers) arrivals.push_back({c, 0});
   }
 
-  // 7. Streaming aggregation: one update at a time into per-group running
-  // sums, handed off by move and freed as soon as it is folded in, so peak
-  // server memory is O(model). Each update is weighted
+  // 7. Streaming aggregation of exactly what each arrival sent, one payload
+  // at a time into per-group running sums; each payload is freed as soon
+  // as it is folded in, so peak server memory is O(model). The uplink is
+  // charged off the same payload. Each update is weighted
   // AggregationWeight(c) / (1 + staleness)^rho; a fresh update divides by
   // pow(1, rho) == 1 exactly.
   std::vector<int> aggregated;
-  std::vector<std::vector<double>> magnitudes;
+  std::vector<std::vector<UnitMagnitude>> magnitudes;
   double loss_sum = 0.0;
   double staleness_sum = 0.0;
   {
     obs::ScopedSpan agg_span(tracer, "aggregate", "round", round);
-    StreamingAggregator::Config config;
-    config.fedda = is_fedda;
-    config.scalar_granularity = scalar_gran;
-    StreamingAggregator aggregator(global, &state, selected_groups, config);
+    StreamingAggregator aggregator(global, UplinkMasks());
     for (const Arrival& arrival : arrivals) {
       const int c = arrival.client;
       Pending& entry = pending[static_cast<size_t>(c)];
-      record.uplink_groups += entry.uplink_groups;
-      record.uplink_scalars += entry.uplink_scalars;
-      record.max_uplink_scalars =
-          std::max(record.max_uplink_scalars, entry.uplink_scalars);
-      record.uplink_bytes += entry.uplink_bytes;
-      record.max_uplink_bytes =
-          std::max(record.max_uplink_bytes, entry.uplink_bytes);
+      const int64_t scalars = entry.uplink.PayloadScalars();
+      const int64_t bytes = entry.uplink.EncodedBytes();
+      record.uplink_groups +=
+          static_cast<int64_t>(entry.uplink.groups().size());
+      record.uplink_scalars += scalars;
+      record.max_uplink_scalars = std::max(record.max_uplink_scalars, scalars);
+      record.uplink_bytes += bytes;
+      record.max_uplink_bytes = std::max(record.max_uplink_bytes, bytes);
       loss_sum += entry.loss;
       staleness_sum += static_cast<double>(arrival.staleness);
-      ParameterStore update;
-      if (transport != nullptr) {
-        // Reconstruct the remote update from its wire payload onto a copy
-        // of the global. Scalars the payload masks off keep global values,
-        // which is enough for bit-identity: Accumulate never reads a scalar
-        // the client's mask excludes. ExecuteRemoteRound expelled every
-        // sender whose uplink has the wrong shape, so this cannot fail.
-        update = *global;
-        const core::Status applied = entry.remote_uplink.ApplyTo(&update);
-        FEDDA_CHECK(applied.ok())
-            << "uplink payload does not match the model layout (client "
-            << c << "): " << applied.ToString();
-        entry.remote_uplink = WirePayload();
-      } else {
-        update = client(c)->TakeUpdate();
-      }
       const double weight =
           runner->AggregationWeight(c) /
           std::pow(1.0 + static_cast<double>(arrival.staleness),
                    options().semi_async.staleness_exponent);
-      magnitudes.push_back(aggregator.Accumulate(c, weight, update));
+      magnitudes.push_back(aggregator.Accumulate(c, weight, entry.uplink));
+      entry.uplink = WirePayload();
       aggregated.push_back(c);
     }
     if (!aggregated.empty()) {

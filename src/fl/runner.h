@@ -176,14 +176,15 @@ struct RoundRecord {
   int64_t max_downlink_bytes = 0;
   /// Active-set size after this round's (de/re)activation.
   int active_after_round = 0;
+  /// Updates lost to a client dropping out while in flight. Semi-async
+  /// departure events, and — under a transport — synchronous participants
+  /// whose process died mid-round (EOF/timeout before their reply) or
+  /// whose reply was expelled.
+  int departures = 0;
   /// Semi-async only (0 in synchronous mode): clients whose training
   /// started this round, mean staleness in rounds over the aggregated
   /// updates, and the virtual time at which this round's buffer filled.
   int started = 0;
-  /// Updates lost to a client dropping out while in flight. Semi-async
-  /// departure events, and — under a transport — synchronous participants
-  /// whose process died mid-round (EOF/timeout before their reply).
-  int departures = 0;
   double mean_staleness = 0.0;
   double virtual_time_sec = 0.0;
   /// The server forced a full reactivation because dynamic deactivation
@@ -270,9 +271,10 @@ class FederatedRunner {
   /// Post-aggregation FedDA activation update (masks, alpha deactivation,
   /// Restart/Explore reactivation) for the clients whose updates were
   /// aggregated this round.
-  void UpdateActivation(const std::vector<int>& aggregated,
-                        const std::vector<std::vector<double>>& magnitudes,
-                        ActivationState* state, core::Rng* rng);
+  void UpdateActivation(
+      const std::vector<int>& aggregated,
+      const std::vector<std::vector<UnitMagnitude>>& magnitudes,
+      ActivationState* state, core::Rng* rng);
 
   /// Scores `global_store`; uses evaluator_ when set, else the built-in
   /// link-prediction evaluation (which borrows `pool` for its forward pass).

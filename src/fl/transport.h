@@ -57,7 +57,7 @@ struct TransportReply {
   /// read deadline expired, or a frame failed to parse. The runner records
   /// a departure and invalidates the client's downlink caches.
   bool ok = false;
-  /// Mean local training loss (Client::Update's return).
+  /// Mean local training loss (ClientUpdate::loss).
   double loss = 0.0;
   /// The client's serialized uplink — byte-identical to what the in-process
   /// round would have built from the same masks and weights.

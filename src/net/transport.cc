@@ -178,8 +178,8 @@ Status SocketTransport::Create(const ServerOptions& options,
 Status SocketTransport::AcceptClients() {
   FEDDA_CHECK(!accepted_) << "AcceptClients called twice";
   // Accept loop: admit exactly num_clients handshakes under one overall
-  // deadline. Each completed handshake is an event through the queue, so
-  // the startup sequence lands in the same coordinated log as the rounds.
+  // deadline. Each completed handshake is logged as an event, so the
+  // startup sequence lands in the same log as the rounds.
   const double deadline = MonotonicSeconds() + options_.accept_timeout_sec;
   int admitted = 0;
   while (admitted < options_.num_clients) {
@@ -225,17 +225,16 @@ Status SocketTransport::AcceptClients() {
     slot.socket = std::move(conn);
     slot.alive = true;
     ++admitted;
-    queue_.Push(Elapsed(), fl::EventKind::kArrival, client, /*round=*/-1);
+    LogEvent(fl::EventKind::kArrival, client, /*round=*/-1);
   }
-  DrainEvents();
   accepted_ = true;
   return Status::OK();
 }
 
 SocketTransport::~SocketTransport() { Shutdown(); }
 
-void SocketTransport::DrainEvents() {
-  while (!queue_.empty()) events_.push_back(queue_.Pop());
+void SocketTransport::LogEvent(fl::EventKind kind, int client, int round) {
+  events_.push_back({Elapsed(), kind, client, round, events_.size()});
 }
 
 void SocketTransport::MarkDeparted(int client, int round) {
@@ -244,7 +243,7 @@ void SocketTransport::MarkDeparted(int client, int round) {
   conn.socket.Close();
   conn.alive = false;
   ++stats_.departures;
-  queue_.Push(Elapsed(), fl::EventKind::kDeparture, client, round);
+  LogEvent(fl::EventKind::kDeparture, client, round);
 }
 
 bool SocketTransport::ClientAlive(int client) const {
@@ -292,7 +291,7 @@ std::vector<fl::TransportReply> SocketTransport::ExecuteRound(
 
   // Collect phase: poll-driven event loop under one round deadline. Each
   // readable connection is drained into its FrameAssembler; completed
-  // replies and departures go through the event queue.
+  // replies and departures are logged as they happen.
   const double deadline = MonotonicSeconds() + options_.reply_timeout_sec;
   std::vector<uint8_t> chunk(kReadChunk);
   while (outstanding > 0) {
@@ -371,7 +370,7 @@ std::vector<fl::TransportReply> SocketTransport::ExecuteRound(
         }
         task_of_client[static_cast<size_t>(c)] = -1;
         --outstanding;
-        queue_.Push(Elapsed(), fl::EventKind::kArrival, c, round);
+        LogEvent(fl::EventKind::kArrival, c, round);
       }
     }
   }
@@ -383,7 +382,6 @@ std::vector<fl::TransportReply> SocketTransport::ExecuteRound(
       MarkDeparted(static_cast<int>(c), round);
     }
   }
-  DrainEvents();
   return replies;
 }
 
@@ -399,7 +397,6 @@ void SocketTransport::Shutdown() {
     conn.alive = false;
   }
   listener_.Close();
-  DrainEvents();
 }
 
 // -- RemoteClient ----------------------------------------------------------
@@ -460,7 +457,7 @@ Status RemoteClient::ServeRound(const std::vector<uint8_t>& body) {
   if (!task.fedda) {
     int prev = -1;
     for (const int gid : task.selected_groups) {
-      if (gid <= prev || gid >= client_->params().num_groups()) {
+      if (gid <= prev || gid >= mirror_->num_groups()) {
         return Status::IoError(
             "round task selected groups must be ascending in-range ids");
       }
@@ -474,41 +471,23 @@ Status RemoteClient::ServeRound(const std::vector<uint8_t>& body) {
   // group the aggregation rewrote since our last sync).
   FEDDA_RETURN_IF_ERROR(task.sync.ApplyTo(mirror_));
 
-  // 2. Install this round's mask so BuildUplinkPayload sees exactly what
+  // 2. Install this round's mask so the uplink is built under exactly what
   // the server's ActivationState holds for us.
   if (task.fedda) {
     state_->SetClientMask(options_.client_id, task.mask_bits);
   }
 
-  // 3. Replay the in-process client update: same RNG stream, same draw
-  // order (training first, then DP noise — mirroring
-  // RoundLoop::TrainClients).
+  // 3. Run the in-process client step on the same RNG stream: training,
+  // DP noise and the uplink are the bytes the in-process round builds.
   core::Rng rng = core::Rng::FromState(task.rng_state);
-  const double loss = client_->Update(*mirror_, options_.local, &rng);
-  if (options_.dp_noise_std > 0.0) {
-    tensor::ParameterStore* params = client_->mutable_params();
-    for (int gid = 0; gid < params->num_groups(); ++gid) {
-      tensor::Tensor& value = params->value(gid);
-      for (int64_t k = 0; k < value.size(); ++k) {
-        value.data()[k] += static_cast<float>(
-            rng.Gaussian(0.0, options_.dp_noise_std));
-      }
-    }
-  }
-
-  // 4. Serialize with the shared builders: these are the bytes the
-  // in-process round would have measured.
+  fl::ClientUpdate update = client_->TrainRound(
+      *mirror_, options_.local, options_.dp_noise_std,
+      task.fedda ? state_ : nullptr, task.selected_groups, task.round, &rng);
   RoundReplyMessage reply;
   reply.client = options_.client_id;
   reply.round = task.round;
-  reply.loss = loss;
-  reply.uplink =
-      task.fedda
-          ? fl::BuildUplinkPayload(*state_, options_.client_id, task.round,
-                                   client_->params())
-          : fl::BuildDenseUplinkPayload(task.selected_groups,
-                                        options_.client_id, task.round,
-                                        client_->params());
+  reply.loss = update.loss;
+  reply.uplink = std::move(update.uplink);
   return WriteFrame(&socket_, FrameType::kRoundReply,
                     EncodeRoundReply(reply));
 }

@@ -74,12 +74,12 @@ struct ServerOptions {
 
 /// Server side of the wire protocol: owns one connection per client process
 /// and implements fl::Transport for the runner. Collection is a poll-driven
-/// event loop sequenced through the existing fl::EventQueue coordinator:
-/// every connection-lifecycle observation — a handshake completing, a reply
-/// arriving, a peer departing — is pushed with its measured wall-clock
-/// offset and popped in (time, seq) order into the event log. The log is
-/// observability and test surface only; replies are returned in task order,
-/// so aggregation stays deterministic no matter how arrivals interleave.
+/// event loop: every connection-lifecycle observation — a handshake
+/// completing, a reply arriving, a peer departing — is appended to the
+/// event log with its measured monotonic offset, so the log is in time
+/// order by construction. The log is observability and test surface only;
+/// replies are returned in task order, so aggregation stays deterministic
+/// no matter how arrivals interleave.
 ///
 /// Single-threaded by design: ExecuteRound runs on the runner's coordinator
 /// thread, like every other round-loop step.
@@ -119,9 +119,10 @@ class SocketTransport final : public fl::Transport {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Connection-lifecycle events in processed order: kArrival for each
+  /// Connection-lifecycle events in observed order: kArrival for each
   /// completed handshake (round -1) and each round reply, kDeparture for
-  /// each lost client. Times are measured seconds since Create().
+  /// each lost client. Times are measured seconds since Create(); `seq` is
+  /// the log index.
   const std::vector<fl::Event>& events() const { return events_; }
 
   /// The bound address in dialable form (ephemeral tcp ports resolved).
@@ -133,8 +134,8 @@ class SocketTransport final : public fl::Transport {
   /// Closes `client`'s connection and logs a departure at the current
   /// measured time. Idempotent per client.
   void MarkDeparted(int client, int round);
-  /// Pops every pending queue event into the event log.
-  void DrainEvents();
+  /// Appends an event at the current measured time.
+  void LogEvent(fl::EventKind kind, int client, int round);
   double Elapsed() const { return MonotonicSeconds() - start_time_; }
 
   struct Connection {
@@ -147,7 +148,6 @@ class SocketTransport final : public fl::Transport {
   std::string address_;
   Listener listener_;
   std::vector<Connection> connections_;
-  fl::EventQueue queue_;
   std::vector<fl::Event> events_;
   Stats stats_;
   double start_time_ = 0.0;
@@ -180,10 +180,10 @@ struct RemoteClientOptions {
 };
 
 /// Client side: dials the server, handshakes, then serves rounds until
-/// kShutdown. Each round replays exactly what the in-process runner would
-/// have done with this client — restore the shipped RNG state, resync the
-/// mirror, install the shipped mask, train, perturb, serialize — so the
-/// reply bytes are the in-process round's bytes.
+/// kShutdown. Each round restores the shipped RNG state, resyncs the
+/// mirror, installs the shipped mask and runs fl::Client::TrainRound — the
+/// step the in-process runner runs — so the reply bytes are the in-process
+/// round's bytes.
 class RemoteClient {
  public:
   /// `client` trains, `state` carries this client's activation masks

@@ -50,7 +50,7 @@ TEST_F(ActivationIoTest, SaveLoadRoundTripScalarGranularity) {
   ActivationOptions options;
   options.granularity = ActivationGranularity::kScalar;
   ActivationState state(2, ref, options);
-  std::vector<std::vector<double>> mags = {
+  std::vector<std::vector<UnitMagnitude>> mags = {
       {0, 0, 0, 9, 9, 9, 9}, {9, 9, 9, 9, 9, 9, 9}};
   state.UpdateMasks({0, 1}, mags);
   ASSERT_TRUE(state.Save(path_).ok());
@@ -58,7 +58,7 @@ TEST_F(ActivationIoTest, SaveLoadRoundTripScalarGranularity) {
   ActivationState restored(2, ref, options);
   ASSERT_TRUE(restored.Load(path_).ok());
   EXPECT_EQ(restored.ActiveUnits(0), state.ActiveUnits(0));
-  EXPECT_EQ(restored.TransmittedScalars(0), state.TransmittedScalars(0));
+  EXPECT_EQ(restored.ClientMask(0), state.ClientMask(0));
 }
 
 TEST_F(ActivationIoTest, LoadRejectsLayoutMismatch) {
@@ -78,9 +78,11 @@ TEST_F(ActivationIoTest, LoadRejectsLayoutMismatch) {
   EXPECT_FALSE(wrong_gran.Load(path_).ok());
 }
 
-TEST_F(ActivationIoTest, LoadsLegacyV1Format) {
+TEST_F(ActivationIoTest, RejectsRetiredV1Format) {
   // Hand-written v1 file: magic 0xF3DDAAC7, no version field, no options,
-  // and one u32 per activity/mask bit (the pre-bit-packing encoding).
+  // and one u32 per activity/mask bit (the pre-bit-packing encoding). Save
+  // writes only v2, so Load refuses v1 with a Status, not an abort, and
+  // leaves the state untouched.
   {
     core::BinaryWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
@@ -104,13 +106,13 @@ TEST_F(ActivationIoTest, LoadsLegacyV1Format) {
   }
   ParameterStore ref = MakeReference();
   ActivationState state(3, ref, ActivationOptions{});
-  ASSERT_TRUE(state.Load(path_).ok());
-  EXPECT_TRUE(state.client_active(0));
-  EXPECT_FALSE(state.client_active(1));
-  EXPECT_TRUE(state.client_active(2));
-  EXPECT_TRUE(state.UnitActive(0, 0));
-  EXPECT_FALSE(state.UnitActive(0, 1));
-  EXPECT_TRUE(state.UnitActive(2, 1));
+  const core::Status status = state.Load(path_);
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument)
+      << status.ToString();
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_TRUE(state.client_active(c));
+    EXPECT_EQ(state.ActiveUnits(c), 2);
+  }
 }
 
 TEST_F(ActivationIoTest, LoadRejectsOptionMismatches) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fl/wire.h"
+
 namespace fedda::fl {
 namespace {
 
@@ -19,6 +21,21 @@ ParameterStore MakeReference() {
   store.Register("rel", Tensor::Zeros(1, 3), /*disentangled=*/true,
                  /*edge_type=*/0);
   return store;
+}
+
+/// Uplink cost of `client` under `state`'s masks, in parameter groups and
+/// scalars: what its uplink payload carries. At tensor granularity a
+/// masked group costs 0; at scalar granularity a partially masked group
+/// costs its active scalars (and counts as transmitted if any scalar is
+/// active).
+int64_t TransmittedGroups(const ActivationState& state, int client,
+                          const ParameterStore& ref) {
+  return static_cast<int64_t>(
+      BuildUplinkPayload(state, client, 0, ref).groups().size());
+}
+int64_t TransmittedScalars(const ActivationState& state, int client,
+                           const ParameterStore& ref) {
+  return BuildUplinkPayload(state, client, 0, ref).PayloadScalars();
 }
 
 ActivationOptions TensorGran(double alpha = 0.5) {
@@ -44,8 +61,8 @@ TEST(ActivationStateTest, InitialStateAllActiveAllOnes) {
   EXPECT_EQ(state.num_units(), 2);  // two disentangled groups
   for (int c = 0; c < 3; ++c) {
     EXPECT_EQ(state.ActiveUnits(c), 2);
-    EXPECT_EQ(state.TransmittedGroups(c), 4);
-    EXPECT_EQ(state.TransmittedScalars(c), 15);
+    EXPECT_EQ(TransmittedGroups(state, c, ref), 4);
+    EXPECT_EQ(TransmittedScalars(state, c, ref), 15);
   }
 }
 
@@ -53,7 +70,7 @@ TEST(ActivationStateTest, ScalarGranularityUnitCount) {
   ParameterStore ref = MakeReference();
   ActivationState state(2, ref, ScalarGran());
   EXPECT_EQ(state.num_units(), 7);  // 4 + 3 disentangled scalars
-  EXPECT_EQ(state.TransmittedScalars(0), 15);
+  EXPECT_EQ(TransmittedScalars(state, 0, ref), 15);
 }
 
 TEST(ActivationStateTest, UnitLayoutMapsToGroups) {
@@ -101,24 +118,24 @@ TEST(ActivationStateTest, TransmissionAccountingAfterMasking) {
   state.UpdateMasks({0, 1}, {{1.0, 1.0}, {9.0, 9.0}});
   // Client 0 lost both disentangled groups.
   EXPECT_EQ(state.ActiveUnits(0), 0);
-  EXPECT_EQ(state.TransmittedGroups(0), 2);   // W, a
-  EXPECT_EQ(state.TransmittedScalars(0), 8);  // 6 + 2
-  EXPECT_EQ(state.TransmittedGroups(1), 4);
-  EXPECT_EQ(state.TransmittedScalars(1), 15);
+  EXPECT_EQ(TransmittedGroups(state, 0, ref), 2);   // W, a
+  EXPECT_EQ(TransmittedScalars(state, 0, ref), 8);  // 6 + 2
+  EXPECT_EQ(TransmittedGroups(state, 1, ref), 4);
+  EXPECT_EQ(TransmittedScalars(state, 1, ref), 15);
 }
 
 TEST(ActivationStateTest, ScalarGranularityPartialGroupStillRequested) {
   ParameterStore ref = MakeReference();
   ActivationState state(2, ref, ScalarGran());
   // Deactivate 3 of 4 scalars of edge_emb for client 0.
-  std::vector<std::vector<double>> mags = {
+  std::vector<std::vector<UnitMagnitude>> mags = {
       {0.0, 0.0, 0.0, 9.0, 9.0, 9.0, 9.0},
       {9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0}};
   state.UpdateMasks({0, 1}, mags);
   EXPECT_EQ(state.ActiveUnits(0), 4);
   EXPECT_TRUE(state.GroupRequested(0, 2));  // one scalar alive
-  EXPECT_EQ(state.TransmittedGroups(0), 4);
-  EXPECT_EQ(state.TransmittedScalars(0), 8 + 4);
+  EXPECT_EQ(TransmittedGroups(state, 0, ref), 4);
+  EXPECT_EQ(TransmittedScalars(state, 0, ref), 8 + 4);
 }
 
 TEST(ActivationStateTest, AlphaRuleDeactivatesLowOccupancyClients) {
@@ -164,7 +181,7 @@ TEST(ActivationStateTest, ReactivateClientResetsOnlyThatMask) {
 TEST(ActivationStateTest, NonDisentangledGroupsAlwaysRequested) {
   ParameterStore ref = MakeReference();
   ActivationState state(1, ref, TensorGran());
-  std::vector<std::vector<double>> mags = {{0.0, 0.0}};
+  std::vector<std::vector<UnitMagnitude>> mags = {{0.0, 0.0}};
   // Single client: mean equals own magnitude, never strictly below, so
   // nothing deactivates with one participant.
   state.UpdateMasks({0}, mags);

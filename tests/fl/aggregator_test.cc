@@ -7,6 +7,7 @@
 
 #include "core/rng.h"
 #include "fl/activation.h"
+#include "fl/wire.h"
 #include "tensor/parameter_store.h"
 #include "tensor/tensor.h"
 
@@ -78,11 +79,11 @@ TEST(StreamingAggregatorTest, FedAvgDenseMatchesOnePassBitExactly) {
 
   ParameterStore global = reference;
   const std::vector<int> selected = {0, 2};  // group 1 unselected this round
-  StreamingAggregator aggregator(&global, nullptr, selected,
-                                 StreamingAggregator::Config{});
+  StreamingAggregator aggregator(&global, nullptr);
   for (size_t p = 0; p < updates.size(); ++p) {
-    const std::vector<double> magnitudes = aggregator.Accumulate(
-        static_cast<int>(p), weights[p], updates[p]);
+    const int c = static_cast<int>(p);
+    const std::vector<UnitMagnitude> magnitudes = aggregator.Accumulate(
+        c, weights[p], BuildDenseUplinkPayload(selected, c, 0, updates[p]));
     EXPECT_TRUE(magnitudes.empty()) << "FedAvg computes no mask magnitudes";
   }
   EXPECT_EQ(aggregator.num_consumed(), 3);
@@ -114,13 +115,12 @@ TEST(StreamingAggregatorTest, FedDaTensorGranularityHonorsMasks) {
   for (uint64_t c = 0; c < 3; ++c) updates.push_back(MakeUpdate(reference, 20 + c));
 
   ParameterStore global = reference;
-  StreamingAggregator::Config config;
-  config.fedda = true;
-  StreamingAggregator aggregator(&global, &state, {}, config);
-  std::vector<std::vector<double>> magnitudes;
+  StreamingAggregator aggregator(&global, &state);
+  std::vector<std::vector<UnitMagnitude>> magnitudes;
   for (size_t p = 0; p < updates.size(); ++p) {
-    magnitudes.push_back(
-        aggregator.Accumulate(static_cast<int>(p), 1.0, updates[p]));
+    const int c = static_cast<int>(p);
+    magnitudes.push_back(aggregator.Accumulate(
+        c, 1.0, BuildUplinkPayload(state, c, 0, updates[p])));
   }
   std::vector<uint8_t> groups_updated;
   aggregator.Finalize(&global, &groups_updated);
@@ -136,18 +136,17 @@ TEST(StreamingAggregatorTest, FedDaTensorGranularityHonorsMasks) {
   ExpectBitIdentical(global.value(2),
                      OnePassFedAvg(updates, {1.0, 1.0, 1.0}, 2));
 
-  // Incremental magnitudes: mean |delta| against the reference for active
-  // units, 0.0 for masked-off units (no data transmitted).
+  // Incremental magnitudes: mean |delta| against the reference for carried
+  // units, none for masked-off units (no data transmitted).
   for (int c = 0; c < 3; ++c) {
     const Tensor delta_b =
         updates[static_cast<size_t>(c)].value(2).Sub(reference.value(2));
-    EXPECT_DOUBLE_EQ(magnitudes[static_cast<size_t>(c)][1],
-                     delta_b.AbsMean());
+    EXPECT_EQ(magnitudes[static_cast<size_t>(c)][1], delta_b.AbsMean());
   }
-  EXPECT_EQ(magnitudes[0][0], 0.0);
-  EXPECT_EQ(magnitudes[1][0], 0.0);
+  EXPECT_FALSE(magnitudes[0][0].has_value());
+  EXPECT_FALSE(magnitudes[1][0].has_value());
   const Tensor delta_a2 = updates[2].value(1).Sub(reference.value(1));
-  EXPECT_DOUBLE_EQ(magnitudes[2][0], delta_a2.AbsMean());
+  EXPECT_EQ(magnitudes[2][0], delta_a2.AbsMean());
 }
 
 TEST(StreamingAggregatorTest, ScalarGranularityAggregatesPerScalar) {
@@ -159,8 +158,8 @@ TEST(StreamingAggregatorTest, ScalarGranularityAggregatesPerScalar) {
 
   // Mask off client 0 for the first scalar of group 1 (unit 0): client 1's
   // magnitude is above the mean, client 0's below.
-  std::vector<std::vector<double>> mask_mags(
-      2, std::vector<double>(8, 0.5));
+  std::vector<std::vector<UnitMagnitude>> mask_mags(
+      2, std::vector<UnitMagnitude>(8, 0.5));
   mask_mags[0][0] = 0.1;
   mask_mags[1][0] = 0.9;
   state.UpdateMasks({0, 1}, mask_mags);
@@ -172,14 +171,12 @@ TEST(StreamingAggregatorTest, ScalarGranularityAggregatesPerScalar) {
   const std::vector<double> weights = {2.0, 3.0};
 
   ParameterStore global = reference;
-  StreamingAggregator::Config config;
-  config.fedda = true;
-  config.scalar_granularity = true;
-  StreamingAggregator aggregator(&global, &state, {}, config);
-  std::vector<std::vector<double>> magnitudes;
+  StreamingAggregator aggregator(&global, &state);
+  std::vector<std::vector<UnitMagnitude>> magnitudes;
   for (size_t p = 0; p < updates.size(); ++p) {
-    magnitudes.push_back(
-        aggregator.Accumulate(static_cast<int>(p), weights[p], updates[p]));
+    const int c = static_cast<int>(p);
+    magnitudes.push_back(aggregator.Accumulate(
+        c, weights[p], BuildUplinkPayload(state, c, 0, updates[p])));
   }
   std::vector<uint8_t> groups_updated;
   aggregator.Finalize(&global, &groups_updated);
@@ -195,9 +192,9 @@ TEST(StreamingAggregatorTest, ScalarGranularityAggregatesPerScalar) {
                        3.0 * updates[1].value(1).data()[s];
     EXPECT_EQ(global.value(1).data()[s], static_cast<float>(sum / 5.0));
   }
-  // Per-scalar |delta| magnitudes; masked-off scalar reports 0 for the
+  // Per-scalar |delta| magnitudes; the masked-off scalar has none for the
   // masked client.
-  EXPECT_EQ(magnitudes[0][0], 0.0);
+  EXPECT_FALSE(magnitudes[0][0].has_value());
   EXPECT_EQ(magnitudes[1][0],
             std::fabs(updates[1].value(1).data()[0] -
                       reference.value(1).data()[0]));
@@ -212,14 +209,94 @@ TEST(StreamingAggregatorTest, FinalizeAliasedWithGlobalIsSafe) {
   std::vector<int> all_groups = {0, 1, 2};
   const ParameterStore update = MakeUpdate(pristine, 40);
 
-  StreamingAggregator aggregator(&global, nullptr, all_groups,
-                                 StreamingAggregator::Config{});
-  aggregator.Accumulate(0, 1.0, update);
+  StreamingAggregator aggregator(&global, nullptr);
+  aggregator.Accumulate(0, 1.0,
+                        BuildDenseUplinkPayload(all_groups, 0, 0, update));
   std::vector<uint8_t> groups_updated;
   aggregator.Finalize(&global, &groups_updated);
   for (int gid = 0; gid < 3; ++gid) {
     ExpectBitIdentical(global.value(gid),
                        OnePassFedAvg({update}, {1.0}, gid));
+  }
+}
+
+TEST(StreamingAggregatorTest, UncarriedUnitsAreNeitherAggregatedNorJudged) {
+  // A FedDA-Restart reset (ActivateAll) can land while an update built
+  // under a narrower mask is still in flight (semi-async). The server
+  // aggregates what that update carried, not the reset mask.
+  const ParameterStore reference = MakeStore(5);
+  ActivationOptions activation;
+  activation.granularity = ActivationGranularity::kScalar;
+  ActivationState state(2, reference, activation);
+  std::vector<std::vector<UnitMagnitude>> mask_mags(
+      2, std::vector<UnitMagnitude>(8, 0.5));
+  mask_mags[0][0] = 0.1;  // client 0 stops sending scalar 0 of group 1
+  mask_mags[1][0] = 0.9;
+  state.UpdateMasks({0, 1}, mask_mags);
+  ASSERT_FALSE(state.UnitActive(0, 0));
+
+  // Client 0's update moved scalar 0 a little, client 1's a lot: judged,
+  // client 0 would fall below the mean and lose the unit again.
+  ParameterStore update0 = MakeUpdate(reference, 50);
+  ParameterStore update1 = MakeUpdate(reference, 51);
+  const float ref0 = reference.value(1).data()[0];
+  update0.value(1).data()[0] = ref0 + 0.01f;
+  update1.value(1).data()[0] = ref0 + 0.4f;
+  const WirePayload in_flight = BuildUplinkPayload(state, 0, 1, update0);
+  state.ActivateAll();
+  ASSERT_TRUE(state.UnitActive(0, 0));
+  const WirePayload fresh = BuildUplinkPayload(state, 1, 2, update1);
+
+  ParameterStore global = reference;
+  StreamingAggregator aggregator(&global, &state);
+  std::vector<std::vector<UnitMagnitude>> magnitudes;
+  magnitudes.push_back(aggregator.Accumulate(0, 2.0, in_flight));
+  magnitudes.push_back(aggregator.Accumulate(1, 3.0, fresh));
+  std::vector<uint8_t> groups_updated;
+  aggregator.Finalize(&global, &groups_updated);
+
+  // Scalar 0 averages client 1 alone; client 0's trained value for it,
+  // never sent, is not read.
+  EXPECT_EQ(global.value(1).data()[0],
+            static_cast<float>((3.0 * update1.value(1).data()[0]) / 3.0));
+  for (int64_t s = 1; s < 4; ++s) {
+    const double sum = 2.0 * update0.value(1).data()[s] +
+                       3.0 * update1.value(1).data()[s];
+    EXPECT_EQ(global.value(1).data()[s], static_cast<float>(sum / 5.0));
+  }
+  EXPECT_FALSE(magnitudes[0][0].has_value());
+  ASSERT_TRUE(magnitudes[1][0].has_value());
+
+  // The mask update leaves client 0's post-reset bit alone.
+  state.UpdateMasks({0, 1}, magnitudes);
+  EXPECT_TRUE(state.UnitActive(0, 0));
+  EXPECT_TRUE(state.UnitActive(1, 0));
+}
+
+TEST(StreamingAggregatorTest, UncarriedGroupsKeepTheirReferenceValues) {
+  // With no payload carrying scalar 0 of group 1 at all, Finalize keeps the
+  // reference value there and averages the carried scalars.
+  const ParameterStore reference = MakeStore(6);
+  ActivationOptions activation;
+  activation.granularity = ActivationGranularity::kScalar;
+  ActivationState state(2, reference, activation);
+  std::vector<std::vector<UnitMagnitude>> mask_mags(
+      2, std::vector<UnitMagnitude>(8, 0.5));
+  mask_mags[0][0] = 0.1;
+  mask_mags[1][0] = 0.9;
+  state.UpdateMasks({0, 1}, mask_mags);
+  const ParameterStore update = MakeUpdate(reference, 60);
+  const WirePayload in_flight = BuildUplinkPayload(state, 0, 1, update);
+  state.ActivateAll();
+
+  ParameterStore global = reference;
+  StreamingAggregator aggregator(&global, &state);
+  aggregator.Accumulate(0, 1.0, in_flight);
+  std::vector<uint8_t> groups_updated;
+  aggregator.Finalize(&global, &groups_updated);
+  EXPECT_EQ(global.value(1).data()[0], reference.value(1).data()[0]);
+  for (int64_t s = 1; s < 4; ++s) {
+    EXPECT_EQ(global.value(1).data()[s], update.value(1).data()[s]);
   }
 }
 

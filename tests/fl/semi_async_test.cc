@@ -17,9 +17,12 @@
 
 #include "core/string_util.h"
 #include "fl/experiment.h"
+#include "tests/fl/every_field.h"
 
 namespace fedda::fl {
 namespace {
+
+using testing::CheckEveryField;
 
 /// %.17g round-trips IEEE-754 doubles exactly: string equality is bit
 /// equality.
@@ -128,6 +131,106 @@ TEST(SemiAsyncGoldenTest, FedAvgStragglerBufferedRun) {
         << "round " << t;
   }
   EXPECT_EQ(EventString(result), kEvents);
+}
+
+// Generated with FEDDA_REGEN_GOLDENS=1 (see the top of this file).
+const std::vector<const char*> kRestartDuringFlight = {
+    "r0 auc=0.481689453125 mrr=0.625 loss=0.73207321763038635 ",
+    "p=2 ug=58 us=3088 mus=1544 ub=13174 mub=6587 ",
+    "ds=9264 mds=1544 db=39486 mdb=6581 act=6 st=6 dep=0 stale=0 "
+    "vt=0.60823225000000003 fr=0",
+    "r1 auc=0.46826171875 mrr=0.56510416666666663 loss=0.69667226076126099 ",
+    "p=2 ug=58 us=3076 mus=1544 ub=13126 mub=6587 ",
+    "ds=3088 mds=1544 db=13162 mdb=6581 act=5 st=2 dep=0 stale=0.5 "
+    "vt=1.2164165 fr=0",
+    "r2 auc=0.432373046875 mrr=0.56510416666666674 loss=0.71206548810005188 ",
+    "p=2 ug=58 us=3079 mus=1544 ub=13138 mub=6587 ",
+    "ds=1544 mds=1544 db=6581 mdb=6581 act=6 st=1 dep=0 stale=1.5 "
+    "vt=1.2164645000000001 fr=0",
+    "r3 auc=0.462158203125 mrr=0.61197916666666663 loss=0.72521659731864929 ",
+    "p=2 ug=58 us=3088 mus=1544 ub=13174 mub=6587 ",
+    "ds=4632 mds=1544 db=19743 mdb=6581 act=5 st=3 dep=0 stale=1.5 "
+    "vt=1.8246967500000002 fr=0",
+    "r4 auc=0.560546875 mrr=0.64322916666666652 loss=0.7031574547290802 ",
+    "p=2 ug=58 us=3083 mus=1544 ub=13154 mub=6587 ",
+    "ds=1544 mds=1544 db=6581 mdb=6581 act=6 st=1 dep=0 stale=1.5 "
+    "vt=2.1287348750000001 fr=0",
+    "r5 auc=0.4580078125 mrr=0.61718750000000011 loss=0.69358009099960327 ",
+    "p=2 ug=58 us=3079 mus=1544 ub=13138 mub=6587 ",
+    "ds=4632 mds=1544 db=19743 mdb=6581 act=5 st=3 dep=0 stale=3 "
+    "vt=2.4329290000000001 fr=0",
+    "r6 auc=0.557373046875 mrr=0.61197916666666674 loss=0.68496927618980408 ",
+    "p=2 ug=58 us=3088 mus=1544 ub=13174 mub=6587 ",
+    "ds=1544 mds=1544 db=6581 mdb=6581 act=6 st=1 dep=0 stale=2 "
+    "vt=2.7369671250000001 fr=0",
+    "r7 auc=0.5615234375 mrr=0.67187499999999989 loss=0.68517673015594482 ",
+    "p=2 ug=58 us=3077 mus=1544 ub=13130 mub=6587 ",
+    "ds=4632 mds=1544 db=19743 mdb=6581 act=5 st=3 dep=0 stale=1.5 "
+    "vt=3.0411172500000001 fr=0",
+    "r8 auc=0.4951171875 mrr=0.58333333333333337 loss=0.6567327082157135 ",
+    "p=2 ug=58 us=3077 mus=1544 ub=13130 mub=6587 ",
+    "ds=1544 mds=1544 db=6581 mdb=6581 act=6 st=1 dep=0 stale=0.5 "
+    "vt=3.9533996250000003 fr=0",
+    "r9 auc=0.46826171875 mrr=0.67447916666666685 loss=0.67625609040260315 ",
+    "p=2 ug=58 us=3088 mus=1544 ub=13174 mub=6587 ",
+    "ds=4632 mds=1544 db=19743 mdb=6581 act=6 st=3 dep=0 stale=3 "
+    "vt=3.9534316250000003 fr=0",
+    "r10 auc=0.5498046875 mrr=0.58333333333333326 loss=0.66947928071022034 ",
+    "p=2 ug=58 us=3088 mus=1544 ub=13174 mub=6587 ",
+    "ds=3088 mds=1544 db=13162 mdb=6581 act=5 st=2 dep=0 stale=1 "
+    "vt=4.5616318750000007 fr=0",
+    "r11 auc=0.56591796875 mrr=0.64843750000000011 loss=0.65611821413040161 ",
+    "p=2 ug=58 us=3079 mus=1544 ub=13138 mub=6587 ",
+    "ds=1544 mds=1544 db=6581 mdb=6581 act=6 st=1 dep=0 stale=1 "
+    "vt=5.1698281250000004 fr=0",
+    "arrival c0 r0 t=0.60823225000000003 #0",
+    "arrival c1 r0 t=0.60823225000000003 #1",
+    "arrival c2 r0 t=0.9123483750000001 #2",
+    "arrival c1 r1 t=1.2164165 #7",
+    "arrival c0 r1 t=1.2164285000000001 #6",
+    "arrival c3 r0 t=1.2164645000000001 #3",
+    "arrival c4 r0 t=1.8246967500000002 #4",
+    "arrival c0 r3 t=1.8246967500000002 #9",
+    "arrival c1 r3 t=1.8246967500000002 #10",
+    "arrival c2 r2 t=2.1287348750000001 #8",
+    "arrival c0 r4 t=2.432893 #12",
+    "arrival c5 r0 t=2.4329290000000001 #5",
+    "arrival c3 r3 t=2.4329290000000001 #11",
+    "arrival c1 r5 t=2.7369671250000001 #13",
+    "arrival c2 r5 t=3.0410832500000002 #14",
+    "arrival c0 r6 t=3.0411172500000001 #16",
+    "arrival c1 r7 t=3.345199375 #17",
+    "arrival c2 r8 t=3.9533996250000003 #20",
+    "arrival c4 r5 t=3.9534316250000003 #15",
+    "arrival c3 r7 t=3.9534316250000003 #18",
+    "arrival c0 r9 t=4.5616318750000007 #21",
+    "arrival c1 r9 t=4.5616318750000007 #22",
+    "arrival c2 r9 t=4.865748 #23",
+    "arrival c1 r11 t=5.1698281250000004 #26",
+};
+
+/// FedDA-Restart resets every mask (ActivateAll) while updates built under
+/// the older, narrower masks are still in flight: the first such arrival
+/// is client 2's round-2 update in round 4, then client 0's round-4 update
+/// in round 5. The server aggregates only the scalars each update carried
+/// and leaves the rest of the sender's post-reset mask alone. Aggregating
+/// under the reset mask instead matches this pin for rounds 0-4 and
+/// departs from it at round 5 (the masks after round 5 and every AUC from
+/// round 5 on).
+TEST(SemiAsyncGoldenTest, RestartDuringFlightAggregatesWhatWasSent) {
+  SystemConfig config = SmallSystemConfig();
+  config.partition.num_clients = 6;
+  const FederatedSystem system = FederatedSystem::Build(config);
+  FlOptions options = SemiAsyncOptionsFor(FlAlgorithm::kFedDaRestart, 12);
+  options.activation.granularity = ActivationGranularity::kScalar;
+  options.activation.alpha = 0.7;
+  options.beta_r = 0.7;
+  options.eval.max_edges = 64;
+  options.eval.mrr_negatives = 2;
+  options.semi_async.client_speed = {1.0, 1.0, 1.5, 2.0, 3.0, 4.0};
+  CheckEveryField("semi-async FedDA-Restart scalar, reset in flight",
+                  RunFederated(system, options, kRunSeed),
+                  kRestartDuringFlight);
 }
 
 TEST(SemiAsyncRunnerTest, WorkerThreadsDoNotChangeEventsOrHistory) {

@@ -33,7 +33,7 @@ std::vector<bool> ApplyAndCollect(const ActivationOptions& options,
   const int m = static_cast<int>(magnitudes.size());
   ActivationState state(m, ref, options);
   std::vector<int> participants;
-  std::vector<std::vector<double>> mags;
+  std::vector<std::vector<UnitMagnitude>> mags;
   for (int c = 0; c < m; ++c) {
     participants.push_back(c);
     mags.push_back({magnitudes[static_cast<size_t>(c)]});

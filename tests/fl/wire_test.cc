@@ -140,8 +140,8 @@ TEST(WirePayloadTest, RandomMaskedUplinkRoundTripsAcrossGranularities) {
       std::vector<int> participants(kClients);
       for (int c = 0; c < kClients; ++c) participants[c] = c;
       for (int step = 0; step < 2; ++step) {
-        std::vector<std::vector<double>> mags(
-            kClients, std::vector<double>(state.num_units()));
+        std::vector<std::vector<UnitMagnitude>> mags(
+            kClients, std::vector<UnitMagnitude>(state.num_units()));
         for (auto& row : mags) {
           for (auto& m : row) m = rng.Uniform();
         }
@@ -151,7 +151,13 @@ TEST(WirePayloadTest, RandomMaskedUplinkRoundTripsAcrossGranularities) {
       for (int client = 0; client < kClients; ++client) {
         const WirePayload payload =
             BuildUplinkPayload(state, client, /*round=*/3, sender);
-        EXPECT_EQ(payload.PayloadScalars(), state.TransmittedScalars(client));
+        int64_t shipped = 0;
+        for (int g = 0; g < sender.num_groups(); ++g) {
+          for (int64_t s = 0; s < sender.value(g).size(); ++s) {
+            shipped += ScalarShipped(state, client, g, s) ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(payload.PayloadScalars(), shipped);
 
         const std::vector<uint8_t> bytes = payload.Serialize();
         ASSERT_EQ(static_cast<int64_t>(bytes.size()), payload.EncodedBytes());
@@ -373,8 +379,9 @@ TEST(WirePayloadTest, CheckUplinkShapeAcceptsOnlyTheRequestedShape) {
   ActivationOptions options;
   options.granularity = ActivationGranularity::kScalar;
   ActivationState state(2, model, options);
-  std::vector<std::vector<double>> mags(
-      2, std::vector<double>(static_cast<size_t>(state.num_units())));
+  std::vector<std::vector<UnitMagnitude>> mags(
+      2,
+      std::vector<UnitMagnitude>(static_cast<size_t>(state.num_units())));
   for (int64_t u = 0; u < state.num_units(); ++u) {
     mags[0][static_cast<size_t>(u)] = static_cast<double>(u % 2);
     mags[1][static_cast<size_t>(u)] = static_cast<double>(1 - u % 2);

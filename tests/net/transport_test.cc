@@ -360,6 +360,15 @@ TEST(SocketTransportTest, FedDaRestartWithDpNoiseOverUnixSocketMatches) {
   RunLoopback(options, UniqueUdsAddress("fedda"), "fedda-loopback");
 }
 
+TEST(SocketTransportTest, FedDaExploreScalarOverUnixSocketMatches) {
+  fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedDaExplore);
+  // Scalar granularity sends masked wire entries (bit-packed mask + the
+  // carried scalars), which the server aggregates straight off the wire.
+  options.activation.granularity = fl::ActivationGranularity::kScalar;
+  RunLoopback(options, UniqueUdsAddress("explore-scalar"),
+              "fedda-explore-scalar-loopback");
+}
+
 TEST(SocketTransportTest, FedAvgOverTcpLoopbackMatchesInProcess) {
   // Port 0: the listener binds an ephemeral port and address() resolves it
   // before the clients dial.
