@@ -118,21 +118,21 @@ int Main(int argc, char** argv) {
     tensor::ParameterStore store = reference;
     core::Rng run_rng(flags.seed + 10);
     const fl::FlRunResult result = runner.Run(&store, &run_rng);
+    const int64_t uplink_groups =
+        fl::SumOver(result.history, &fl::RoundRecord::uplink_groups);
     if (algorithm == fl::FlAlgorithm::kFedAvg) {
-      fedavg_groups = static_cast<double>(result.total_uplink_groups);
+      fedavg_groups = static_cast<double>(uplink_groups);
     }
     table.AddRow(
         {name, core::FormatDouble(result.final_auc, 4),
          core::FormatDouble(result.final_mrr, 4),
-         core::FormatWithCommas(result.total_uplink_groups),
-         core::StrFormat("%.1f%%",
-                         100.0 * static_cast<double>(
-                                     result.total_uplink_groups) /
-                             std::max(1.0, fedavg_groups))});
+         core::FormatWithCommas(uplink_groups),
+         core::StrFormat("%.1f%%", 100.0 * static_cast<double>(uplink_groups) /
+                                       std::max(1.0, fedavg_groups))});
     csv.WriteRow(std::vector<std::string>{
         name, core::FormatDouble(result.final_auc, 6),
         core::FormatDouble(result.final_mrr, 6),
-        std::to_string(result.total_uplink_groups)});
+        std::to_string(uplink_groups)});
     std::cout << "." << std::flush;
   }
 

@@ -98,11 +98,13 @@ int Main(int argc, char** argv) {
         (tta > 0 && fedavg_time > 0)
             ? core::StrFormat("%.0f%%", 100.0 * tta / fedavg_time)
             : "-";
+    const int64_t uplink_bytes =
+        fl::SumOver(row.run.history, &fl::RoundRecord::uplink_bytes);
+    const int64_t downlink_bytes =
+        fl::SumOver(row.run.history, &fl::RoundRecord::downlink_bytes);
     table.AddRow({row.name, core::FormatDouble(row.run.final_auc, 4),
-                  core::FormatWithCommas(
-                      static_cast<int64_t>(row.run.total_uplink_bytes / 1024)),
-                  core::FormatWithCommas(static_cast<int64_t>(
-                      row.run.total_downlink_bytes / 1024)),
+                  core::FormatWithCommas(uplink_bytes / 1024),
+                  core::FormatWithCommas(downlink_bytes / 1024),
                   core::StrFormat("%.2f", row.phases.train_sec),
                   core::StrFormat("%.2f", row.phases.encode_sec),
                   core::StrFormat("%.2f", row.phases.aggregate_sec),
@@ -112,8 +114,7 @@ int Main(int argc, char** argv) {
                   speedup});
     csv.WriteRow(std::vector<std::string>{
         row.name, core::FormatDouble(row.run.final_auc, 6),
-        std::to_string(row.run.total_uplink_bytes),
-        std::to_string(row.run.total_downlink_bytes),
+        std::to_string(uplink_bytes), std::to_string(downlink_bytes),
         core::FormatDouble(row.phases.train_sec, 6),
         core::FormatDouble(row.phases.encode_sec, 6),
         core::FormatDouble(row.phases.aggregate_sec, 6),

@@ -74,9 +74,11 @@ int main(int argc, char** argv) {
   // FedAvg's full-run uplink defines the budget scale.
   fl::FlOptions fedavg_options = base;
   const fl::FlRunResult fedavg = RunFederated(system, fedavg_options, 3);
+  const int64_t fedavg_groups =
+      fl::SumOver(fedavg.history, &fl::RoundRecord::uplink_groups);
   const int64_t budget = static_cast<int64_t>(
-      budget_multiplier * static_cast<double>(fedavg.total_uplink_groups));
-  std::cout << "FedAvg full run: " << fedavg.total_uplink_groups
+      budget_multiplier * static_cast<double>(fedavg_groups));
+  std::cout << "FedAvg full run: " << fedavg_groups
             << " transmitted groups over " << rounds << " rounds.\n"
             << "Budget: " << budget << " groups ("
             << core::FormatDouble(budget_multiplier * 100, 0)

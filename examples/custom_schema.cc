@@ -80,6 +80,7 @@ int main() {
   std::cout << core::StrFormat(
       "\nfinal: AUC %.4f, MRR %.4f, total uplink %lld groups\n",
       result.final_auc, result.final_mrr,
-      static_cast<long long>(result.total_uplink_groups));
+      static_cast<long long>(
+          fl::SumOver(result.history, &fl::RoundRecord::uplink_groups)));
   return 0;
 }

@@ -119,7 +119,9 @@ MeasuredRates MeasureRates(const fl::FlRunResult& result, int num_clients,
                               num_clients *
                               static_cast<double>(total_params);
   rates.comm_ratio =
-      static_cast<double>(result.total_uplink_groups) / fedavg_total;
+      static_cast<double>(
+          fl::SumOver(result.history, &fl::RoundRecord::uplink_groups)) /
+      fedavg_total;
   return rates;
 }
 

@@ -120,33 +120,27 @@ RepeatedSummary Summarize(const std::vector<FlRunResult>& runs) {
   if (runs.empty()) return summary;
 
   std::vector<double> final_aucs, final_mrrs;
-  double uplink_groups = 0.0, uplink_scalars = 0.0;
-  double max_uplink_scalars = 0.0;
-  double uplink_bytes = 0.0, downlink_bytes = 0.0, downlink_scalars = 0.0;
   for (const FlRunResult& run : runs) {
     final_aucs.push_back(run.final_auc);
     final_mrrs.push_back(run.final_mrr);
-    uplink_groups += static_cast<double>(run.total_uplink_groups);
-    uplink_scalars += static_cast<double>(run.total_uplink_scalars);
-    max_uplink_scalars += static_cast<double>(run.total_max_uplink_scalars);
-    uplink_bytes += static_cast<double>(run.total_uplink_bytes);
-    downlink_bytes += static_cast<double>(run.total_downlink_bytes);
-    downlink_scalars += static_cast<double>(run.total_downlink_scalars);
   }
   summary.final_auc = metrics::ComputeMeanStd(final_aucs);
   summary.final_mrr = metrics::ComputeMeanStd(final_mrrs);
-  summary.mean_total_uplink_groups =
-      uplink_groups / static_cast<double>(runs.size());
-  summary.mean_total_uplink_scalars =
-      uplink_scalars / static_cast<double>(runs.size());
+  const auto mean_total = [&runs](int64_t RoundRecord::*field) {
+    double sum = 0.0;
+    for (const FlRunResult& run : runs) {
+      sum += static_cast<double>(SumOver(run.history, field));
+    }
+    return sum / static_cast<double>(runs.size());
+  };
+  summary.mean_total_uplink_groups = mean_total(&RoundRecord::uplink_groups);
+  summary.mean_total_uplink_scalars = mean_total(&RoundRecord::uplink_scalars);
   summary.mean_total_max_uplink_scalars =
-      max_uplink_scalars / static_cast<double>(runs.size());
-  summary.mean_total_uplink_bytes =
-      uplink_bytes / static_cast<double>(runs.size());
-  summary.mean_total_downlink_bytes =
-      downlink_bytes / static_cast<double>(runs.size());
+      mean_total(&RoundRecord::max_uplink_scalars);
+  summary.mean_total_uplink_bytes = mean_total(&RoundRecord::uplink_bytes);
+  summary.mean_total_downlink_bytes = mean_total(&RoundRecord::downlink_bytes);
   summary.mean_total_downlink_scalars =
-      downlink_scalars / static_cast<double>(runs.size());
+      mean_total(&RoundRecord::downlink_scalars);
 
   const size_t rounds = runs[0].history.size();
   bool uniform = true;

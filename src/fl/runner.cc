@@ -11,7 +11,6 @@
 #include "fl/aggregator.h"
 #include "fl/transport.h"
 #include "fl/wire.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
 namespace fedda::fl {
@@ -211,14 +210,6 @@ struct FederatedRunner::RoundLoop {
   DownlinkVersionTracker mirror;
 
   obs::Tracer* tracer;
-  obs::Counter* ctr_rounds = nullptr;
-  obs::Counter* ctr_participants = nullptr;
-  obs::Counter* ctr_uplink_bytes = nullptr;
-  obs::Counter* ctr_downlink_bytes = nullptr;
-  obs::Counter* ctr_uplink_scalars = nullptr;
-  obs::Counter* ctr_downlink_scalars = nullptr;
-  obs::Counter* ctr_departures = nullptr;
-  obs::Counter* ctr_forced_reactivations = nullptr;
 
   FlRunResult result;
 
@@ -271,18 +262,6 @@ struct FederatedRunner::RoundLoop {
     std::iota(all_groups.begin(), all_groups.end(), 0);
     local_options.pool = pool_ptr;
     local_options.tracer = tracer;
-    obs::MetricsRegistry* metrics = r->options_.metrics;
-    if (metrics != nullptr) {
-      ctr_rounds = metrics->AddCounter("fl.rounds");
-      ctr_participants = metrics->AddCounter("fl.participants");
-      ctr_uplink_bytes = metrics->AddCounter("fl.uplink_bytes");
-      ctr_downlink_bytes = metrics->AddCounter("fl.downlink_bytes");
-      ctr_uplink_scalars = metrics->AddCounter("fl.uplink_scalars");
-      ctr_downlink_scalars = metrics->AddCounter("fl.downlink_scalars");
-      ctr_departures = metrics->AddCounter("fl.departures");
-      ctr_forced_reactivations =
-          metrics->AddCounter("fl.forced_reactivations");
-    }
     result.history.reserve(static_cast<size_t>(r->options_.rounds));
   }
 
@@ -328,7 +307,6 @@ struct FederatedRunner::RoundLoop {
   /// as a full resync.
   void Depart(int c, RoundRecord* record) {
     ++record->departures;
-    if (ctr_departures != nullptr) ctr_departures->Increment();
     downlink.InvalidateClient(c);
     mirror.InvalidateClient(c);
   }
@@ -497,9 +475,6 @@ struct FederatedRunner::RoundLoop {
     state.ActivateAll();
     *participants = state.ActiveClients();
     record->forced_reactivation = true;
-    if (ctr_forced_reactivations != nullptr) {
-      ctr_forced_reactivations->Increment();
-    }
     // Recorded directly (not scheduled): the reactivation happens "now",
     // before anything else this round.
     Event event;
@@ -508,24 +483,6 @@ struct FederatedRunner::RoundLoop {
     event.client = -1;
     event.round = round;
     result.events.push_back(event);
-  }
-
-  void FinishRound(RoundRecord record) {
-    if (ctr_participants != nullptr) {
-      ctr_participants->Add(record.participants);
-      ctr_uplink_bytes->Add(record.uplink_bytes);
-      ctr_downlink_bytes->Add(record.downlink_bytes);
-      ctr_uplink_scalars->Add(record.uplink_scalars);
-      ctr_downlink_scalars->Add(record.downlink_scalars);
-    }
-    result.total_uplink_groups += record.uplink_groups;
-    result.total_uplink_scalars += record.uplink_scalars;
-    result.total_max_uplink_scalars += record.max_uplink_scalars;
-    result.total_uplink_bytes += record.uplink_bytes;
-    result.total_downlink_bytes += record.downlink_bytes;
-    result.total_downlink_scalars += record.downlink_scalars;
-    result.total_max_downlink_scalars += record.max_downlink_scalars;
-    result.history.push_back(std::move(record));
   }
 
   void Evaluate(int round, RoundRecord* record) {
@@ -545,7 +502,6 @@ struct FederatedRunner::RoundLoop {
 /// the virtual-time event queue (semi-async).
 void FederatedRunner::RoundLoop::RunRound(int round) {
   obs::ScopedSpan round_span(tracer, "round", "round", round);
-  if (ctr_rounds != nullptr) ctr_rounds->Increment();
   RoundRecord record;
   record.round = round;
 
@@ -691,14 +647,14 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
 
   record.active_after_round = state.num_active_clients();
   Evaluate(round, &record);
-  FinishRound(std::move(record));
+  result.history.push_back(std::move(record));
 }
 
 FlRunResult FederatedRunner::Run(ParameterStore* global_store,
                                  core::Rng* rng) {
-  // Observability. Tracing and metrics read state the run produces anyway —
-  // they never draw randomness or alter control flow, so enabling them
-  // cannot perturb seeded results.
+  // Observability. Tracing reads state the run produces anyway — it never
+  // draws randomness or alters control flow, so enabling it cannot perturb
+  // seeded results.
   obs::ScopedSpan run_span(options_.tracer, "run");
   RoundLoop loop(this, global_store, rng);
   loop.result.aggregation_mode = options_.aggregation_mode;

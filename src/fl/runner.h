@@ -15,7 +15,6 @@
 #include "hgn/link_prediction.h"
 
 namespace fedda::obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace fedda::obs
 
@@ -127,14 +126,13 @@ struct FlOptions {
   /// departure (RoundRecord::departures) and its downlink caches are
   /// invalidated, exactly like a semi-async departure event.
   Transport* transport = nullptr;
-  /// Optional observability sinks (both may be null; null disables with no
-  /// measurable overhead). The tracer receives round/phase/client spans and
-  /// is forwarded into TrainOptions/EvalOptions so the tensor kernels tag
-  /// their time too; the registry receives fl.* counters mirroring the
-  /// RoundRecord byte/scalar fields. Neither touches RNG state: a traced
-  /// run is bit-identical to an untraced one (trace_determinism_test).
+  /// Optional span sink (null disables with no measurable overhead). It
+  /// receives round/phase/client spans and is forwarded into
+  /// TrainOptions/EvalOptions so the tensor kernels tag their time too. It
+  /// touches no RNG state: a traced run is bit-identical to an untraced one
+  /// (trace_determinism_test). The run's counts live only in
+  /// FlRunResult::history; sum them with SumOver.
   obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Per-round telemetry.
@@ -202,21 +200,11 @@ struct FlRunResult {
   /// checking this field (the event list cannot serve as the discriminator:
   /// synchronous runs also record kReactivation events).
   AggregationMode aggregation_mode = AggregationMode::kSynchronous;
+  /// One record per round, and the run's only record of its counts: a run
+  /// total is SumOver(history, field).
   std::vector<RoundRecord> history;
   double final_auc = 0.0;
   double final_mrr = 0.0;
-  int64_t total_uplink_groups = 0;
-  int64_t total_uplink_scalars = 0;
-  /// Sum over rounds of RoundRecord::max_uplink_scalars: the uplink volume
-  /// on the straggler-bound critical path of a synchronous run.
-  int64_t total_max_uplink_scalars = 0;
-  /// Measured wire-format totals (sums of the per-round RoundRecord
-  /// fields). Bytes include payload headers and mask overhead; the
-  /// max_downlink total is the straggler-bound downlink coverage.
-  int64_t total_uplink_bytes = 0;
-  int64_t total_downlink_bytes = 0;
-  int64_t total_downlink_scalars = 0;
-  int64_t total_max_downlink_scalars = 0;
   /// Every event the server processed, in pop order: semi-async arrivals
   /// and departures, and forced reactivations in either mode. The
   /// sequence is a pure function of the seed (EventQueue ties break on push
@@ -224,6 +212,15 @@ struct FlRunResult {
   /// settings.
   std::vector<Event> events;
 };
+
+/// The run total of one RoundRecord field, e.g.
+/// `SumOver(result.history, &RoundRecord::uplink_bytes)`.
+inline int64_t SumOver(const std::vector<RoundRecord>& history,
+                       int64_t RoundRecord::*field) {
+  int64_t total = 0;
+  for (const RoundRecord& record : history) total += record.*field;
+  return total;
+}
 
 /// Orchestrates one federated training run (Algorithm 1): owns the clients,
 /// drives rounds, performs masked aggregation (Eq. 6), updates activation

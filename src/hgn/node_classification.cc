@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/arena.h"
 #include "tensor/ops.h"
 
 namespace fedda::hgn {
@@ -66,18 +67,12 @@ double NodeClassificationTask::TrainRound(ParameterStore* store,
   if (train_nodes_.empty()) return 0.0;
   FEDDA_CHECK_GT(options.local_epochs, 0);
 
-  std::unique_ptr<tensor::Optimizer> optimizer;
-  if (options.use_adam) {
-    optimizer = std::make_unique<tensor::Adam>(options.learning_rate, 0.9f,
-                                               0.999f, 1e-8f,
-                                               options.weight_decay);
-  } else {
-    optimizer = std::make_unique<tensor::Sgd>(options.learning_rate,
-                                              options.weight_decay);
-  }
+  const std::unique_ptr<tensor::Optimizer> optimizer = MakeOptimizer(options);
 
   double total_loss = 0.0;
   int64_t num_batches = 0;
+  // Per-round scratch arena, as in LinkPredictionTask::TrainRound.
+  core::Arena arena;
   for (int epoch = 0; epoch < options.local_epochs; ++epoch) {
     // Reuse the edge batcher over node ids.
     std::vector<graph::EdgeId> ids(train_nodes_.begin(), train_nodes_.end());
@@ -95,6 +90,8 @@ double NodeClassificationTask::TrainRound(ParameterStore* store,
       store->ZeroGrads();
       tensor::Graph g(/*training=*/true);
       g.set_pool(options.pool);
+      g.set_tracer(options.tracer);
+      g.set_arena(&arena);
       Var embeddings = model_->Encode(&g, *graph_, mp_, store, rng);
       Var logits = Logits(&g, embeddings, nodes, store);
       Var loss = tensor::SoftmaxCrossEntropy(&g, logits, batch_labels);
@@ -103,6 +100,7 @@ double NodeClassificationTask::TrainRound(ParameterStore* store,
 
       total_loss += g.value(loss).at(0, 0);
       ++num_batches;
+      arena.Reset();
     }
   }
   return num_batches == 0 ? 0.0

@@ -123,7 +123,6 @@ TEST(MeasureRatesTest, ReadsRatesFromRunHistory) {
     // Each participant sends 8 of 10 groups (2 of 4 disentangled withheld).
     r.uplink_groups = 4 * 8;
     result.history.push_back(r);
-    result.total_uplink_groups += r.uplink_groups;
   }
   const MeasuredRates rates = MeasureRates(result, 4, 10, 4);
   EXPECT_DOUBLE_EQ(rates.r_c, 0.75);

@@ -11,8 +11,8 @@
 namespace fedda::core {
 namespace {
 
-// The annotation pass over ThreadPool/Tracer/MetricsRegistry surfaced no
-// latent lock-discipline bug (the TSan stress suites had already pinned the
+// The annotation pass over ThreadPool/Tracer surfaced no latent
+// lock-discipline bug (the TSan stress suites had already pinned the
 // dynamic behavior), so this suite carries the other half of the contract:
 // core::Mutex is a pure relabeling of std::mutex for the capability
 // analysis — same layout, same semantics, no added state — so swapping it

@@ -126,18 +126,18 @@ TEST(SummarizeTest, AggregatesAcrossRuns) {
     RoundRecord a;
     a.round = t;
     a.auc = 0.6 + 0.1 * t;
+    a.uplink_groups = 50;
     r1.history.push_back(a);
     RoundRecord b;
     b.round = t;
     b.auc = 0.4 + 0.1 * t;
+    b.uplink_groups = 100;
     r2.history.push_back(b);
   }
   r1.final_auc = 0.7;
   r1.final_mrr = 0.9;
-  r1.total_uplink_groups = 100;
   r2.final_auc = 0.5;
   r2.final_mrr = 0.7;
-  r2.total_uplink_groups = 200;
 
   const RepeatedSummary summary = Summarize({r1, r2});
   EXPECT_DOUBLE_EQ(summary.final_auc.mean, 0.6);

@@ -71,7 +71,8 @@ TEST_P(FlInvariantTest, RunSatisfiesStructuralGuarantees) {
     EXPECT_LE(record.mrr, 1.0);
     running_groups += record.uplink_groups;
   }
-  EXPECT_EQ(result.total_uplink_groups, running_groups);
+  EXPECT_EQ(SumOver(result.history, &RoundRecord::uplink_groups),
+            running_groups);
 
   // Deterministic replay.
   const FlRunResult replay = RunFederated(*system, options, 9);

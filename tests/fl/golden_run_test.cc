@@ -61,20 +61,24 @@ FlOptions GoldenOptions(FlAlgorithm algorithm) {
 
 constexpr uint64_t kRunSeed = 123;
 
-/// Everything a golden pins about one run.
+/// Everything a golden pins about one run. A `sum_*` value pins
+/// SumOver(history, &RoundRecord::*).
 struct Golden {
   const char* final_auc;
   const char* final_mrr;
-  int64_t total_uplink_scalars;
-  int64_t total_uplink_bytes;
-  int64_t total_downlink_scalars;
-  int64_t total_downlink_bytes;
+  int64_t sum_uplink_scalars;
+  int64_t sum_uplink_bytes;
+  int64_t sum_downlink_scalars;
+  int64_t sum_downlink_bytes;
   std::vector<const char*> round_auc;
   std::vector<int> participants;
 };
 
 void CheckOrRegen(const char* test_name, const FlRunResult& result,
                   const Golden& golden) {
+  const auto sum = [&result](int64_t RoundRecord::*field) {
+    return SumOver(result.history, field);
+  };
   if (std::getenv("FEDDA_REGEN_GOLDENS") != nullptr) {
     // Paste-ready block for the arrays below.
     std::printf("// --- %s ---\n", test_name);
@@ -82,14 +86,14 @@ void CheckOrRegen(const char* test_name, const FlRunResult& result,
                 GoldenDouble(result.final_auc).c_str());
     std::printf("/*final_mrr=*/\"%s\",\n",
                 GoldenDouble(result.final_mrr).c_str());
-    std::printf("/*total_uplink_scalars=*/%lld,\n",
-                static_cast<long long>(result.total_uplink_scalars));
-    std::printf("/*total_uplink_bytes=*/%lld,\n",
-                static_cast<long long>(result.total_uplink_bytes));
-    std::printf("/*total_downlink_scalars=*/%lld,\n",
-                static_cast<long long>(result.total_downlink_scalars));
-    std::printf("/*total_downlink_bytes=*/%lld,\n",
-                static_cast<long long>(result.total_downlink_bytes));
+    std::printf("/*sum_uplink_scalars=*/%lld,\n",
+                static_cast<long long>(sum(&RoundRecord::uplink_scalars)));
+    std::printf("/*sum_uplink_bytes=*/%lld,\n",
+                static_cast<long long>(sum(&RoundRecord::uplink_bytes)));
+    std::printf("/*sum_downlink_scalars=*/%lld,\n",
+                static_cast<long long>(sum(&RoundRecord::downlink_scalars)));
+    std::printf("/*sum_downlink_bytes=*/%lld,\n",
+                static_cast<long long>(sum(&RoundRecord::downlink_bytes)));
     std::printf("/*round_auc=*/{");
     for (const RoundRecord& r : result.history) {
       std::printf("\"%s\", ", GoldenDouble(r.auc).c_str());
@@ -103,10 +107,10 @@ void CheckOrRegen(const char* test_name, const FlRunResult& result,
   }
   EXPECT_EQ(GoldenDouble(result.final_auc), golden.final_auc);
   EXPECT_EQ(GoldenDouble(result.final_mrr), golden.final_mrr);
-  EXPECT_EQ(result.total_uplink_scalars, golden.total_uplink_scalars);
-  EXPECT_EQ(result.total_uplink_bytes, golden.total_uplink_bytes);
-  EXPECT_EQ(result.total_downlink_scalars, golden.total_downlink_scalars);
-  EXPECT_EQ(result.total_downlink_bytes, golden.total_downlink_bytes);
+  EXPECT_EQ(sum(&RoundRecord::uplink_scalars), golden.sum_uplink_scalars);
+  EXPECT_EQ(sum(&RoundRecord::uplink_bytes), golden.sum_uplink_bytes);
+  EXPECT_EQ(sum(&RoundRecord::downlink_scalars), golden.sum_downlink_scalars);
+  EXPECT_EQ(sum(&RoundRecord::downlink_bytes), golden.sum_downlink_bytes);
   ASSERT_EQ(result.history.size(), golden.round_auc.size());
   ASSERT_EQ(result.history.size(), golden.participants.size());
   for (size_t i = 0; i < result.history.size(); ++i) {
@@ -124,10 +128,10 @@ TEST(GoldenRunTest, FedAvgFourClientsFiveRounds) {
   const Golden golden{
       /*final_auc=*/"0.52008056640625",
       /*final_mrr=*/"0.41328125000000016",
-      /*total_uplink_scalars=*/30880,
-      /*total_uplink_bytes=*/131620,
-      /*total_downlink_scalars=*/30880,
-      /*total_downlink_bytes=*/131620,
+      /*sum_uplink_scalars=*/30880,
+      /*sum_uplink_bytes=*/131620,
+      /*sum_downlink_scalars=*/30880,
+      /*sum_downlink_bytes=*/131620,
       /*round_auc=*/{"0.47296142578125", "0.52203369140625",
                      "0.52227783203125", "0.5040283203125",
                      "0.52008056640625"},
@@ -143,10 +147,10 @@ TEST(GoldenRunTest, FedDaRestartFourClientsFiveRounds) {
   const Golden golden{
       /*final_auc=*/"0.51123046875",
       /*final_mrr=*/"0.41119791666666694",
-      /*total_uplink_scalars=*/27640,
-      /*total_uplink_bytes=*/117642,
-      /*total_downlink_scalars=*/27640,
-      /*total_downlink_bytes=*/117642,
+      /*sum_uplink_scalars=*/27640,
+      /*sum_uplink_bytes=*/117642,
+      /*sum_downlink_scalars=*/27640,
+      /*sum_downlink_bytes=*/117642,
       /*round_auc=*/{"0.47296142578125", "0.52227783203125",
                      "0.5264892578125", "0.50677490234375",
                      "0.51123046875"},
@@ -165,8 +169,10 @@ TEST(GoldenRunTest, RerunIsBitIdentical) {
   const FlRunResult b = RunFederated(system, options, kRunSeed);
   EXPECT_EQ(GoldenDouble(a.final_auc), GoldenDouble(b.final_auc));
   EXPECT_EQ(GoldenDouble(a.final_mrr), GoldenDouble(b.final_mrr));
-  EXPECT_EQ(a.total_uplink_bytes, b.total_uplink_bytes);
-  EXPECT_EQ(a.total_downlink_bytes, b.total_downlink_bytes);
+  for (int64_t RoundRecord::*field :
+       {&RoundRecord::uplink_bytes, &RoundRecord::downlink_bytes}) {
+    EXPECT_EQ(SumOver(a.history, field), SumOver(b.history, field));
+  }
   ASSERT_EQ(a.history.size(), b.history.size());
   for (size_t i = 0; i < a.history.size(); ++i) {
     EXPECT_EQ(GoldenDouble(a.history[i].auc), GoldenDouble(b.history[i].auc));
@@ -200,11 +206,12 @@ TEST(GoldenRunTest, KernelDispatchIsBitNeutral) {
             GoldenDouble(simd_run.final_auc));
   EXPECT_EQ(GoldenDouble(scalar_run.final_mrr),
             GoldenDouble(simd_run.final_mrr));
-  EXPECT_EQ(scalar_run.total_uplink_scalars, simd_run.total_uplink_scalars);
-  EXPECT_EQ(scalar_run.total_uplink_bytes, simd_run.total_uplink_bytes);
-  EXPECT_EQ(scalar_run.total_downlink_scalars,
-            simd_run.total_downlink_scalars);
-  EXPECT_EQ(scalar_run.total_downlink_bytes, simd_run.total_downlink_bytes);
+  for (int64_t RoundRecord::*field :
+       {&RoundRecord::uplink_scalars, &RoundRecord::uplink_bytes,
+        &RoundRecord::downlink_scalars, &RoundRecord::downlink_bytes}) {
+    EXPECT_EQ(SumOver(scalar_run.history, field),
+              SumOver(simd_run.history, field));
+  }
   ASSERT_EQ(scalar_run.history.size(), simd_run.history.size());
   for (size_t i = 0; i < scalar_run.history.size(); ++i) {
     EXPECT_EQ(GoldenDouble(scalar_run.history[i].auc),
@@ -220,10 +227,10 @@ TEST(GoldenRunTest, KernelDispatchIsBitNeutral) {
   const Golden golden{
       /*final_auc=*/"0.51123046875",
       /*final_mrr=*/"0.41119791666666694",
-      /*total_uplink_scalars=*/27640,
-      /*total_uplink_bytes=*/117642,
-      /*total_downlink_scalars=*/27640,
-      /*total_downlink_bytes=*/117642,
+      /*sum_uplink_scalars=*/27640,
+      /*sum_uplink_bytes=*/117642,
+      /*sum_downlink_scalars=*/27640,
+      /*sum_downlink_bytes=*/117642,
       /*round_auc=*/{"0.47296142578125", "0.52227783203125",
                      "0.5264892578125", "0.50677490234375",
                      "0.51123046875"},

@@ -3,12 +3,17 @@
 // link-prediction setting; this exercises FedAvg and FedDA end-to-end on a
 // different objective with a custom evaluator.
 
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
 #include "data/schema.h"
 #include "fl/runner.h"
 #include "hgn/node_classification.h"
+#include "obs/trace.h"
+#include "tests/fl/every_field.h"
 
 namespace fedda::fl {
 namespace {
@@ -124,7 +129,8 @@ TEST_F(NodeClassificationFlTest, FedDaSavesCommunicationOnThisTaskToo) {
   FederatedRunner fedda(MakeClients(), MakeEvaluator(), fedda_options);
   const FlRunResult run_b = fedda.Run(&store_b, &rng_b);
 
-  EXPECT_LT(run_b.total_uplink_groups, run_a.total_uplink_groups);
+  EXPECT_LT(SumOver(run_b.history, &RoundRecord::uplink_groups),
+            SumOver(run_a.history, &RoundRecord::uplink_groups));
   EXPECT_GT(run_b.final_auc, 0.4);
 }
 
@@ -142,6 +148,36 @@ TEST_F(NodeClassificationFlTest, HeadParametersAreFederated) {
   const int head = store.FindByName("head/W");
   ASSERT_GE(head, 0);
   EXPECT_FALSE(store.value(head).Equals(reference_.value(head)));
+}
+
+TEST_F(NodeClassificationFlTest, TracedRunRecordsKernelSpansAndIsBitIdentical) {
+  // The runner forwards its tracer into TrainOptions; the node-classification
+  // step must hand it to its tape like link prediction does, and observing
+  // must not move a bit of the history.
+  FlOptions options;
+  options.algorithm = FlAlgorithm::kFedDaRestart;
+  options.rounds = 3;
+  options.local.learning_rate = 5e-3f;
+
+  tensor::ParameterStore untraced_store = reference_;
+  core::Rng untraced_rng(99);
+  FederatedRunner untraced_runner(MakeClients(), MakeEvaluator(), options);
+  const FlRunResult untraced = untraced_runner.Run(&untraced_store,
+                                                   &untraced_rng);
+
+  obs::Tracer tracer;
+  options.tracer = &tracer;
+  tensor::ParameterStore traced_store = reference_;
+  core::Rng traced_rng(99);
+  FederatedRunner traced_runner(MakeClients(), MakeEvaluator(), options);
+  const FlRunResult traced = traced_runner.Run(&traced_store, &traced_rng);
+
+  EXPECT_EQ(testing::EveryField(traced), testing::EveryField(untraced));
+  std::map<std::string, int> counts;
+  for (const obs::Span& span : tracer.Collect()) ++counts[span.name];
+  EXPECT_GT(counts["hgn-encode"], 0);
+  EXPECT_GT(counts["matmul"], 0);
+  EXPECT_GT(counts["backward"], 0);
 }
 
 }  // namespace

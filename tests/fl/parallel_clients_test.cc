@@ -48,7 +48,8 @@ void ExpectBitIdentical(const FlRunResult& a, const FlRunResult& b) {
     EXPECT_EQ(a.history[t].max_uplink_scalars,
               b.history[t].max_uplink_scalars);
   }
-  EXPECT_EQ(a.total_max_uplink_scalars, b.total_max_uplink_scalars);
+  EXPECT_EQ(SumOver(a.history, &RoundRecord::max_uplink_scalars),
+            SumOver(b.history, &RoundRecord::max_uplink_scalars));
 }
 
 class ParallelClientsTest

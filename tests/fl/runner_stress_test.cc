@@ -88,7 +88,8 @@ TEST(RunnerStressTest, ConcurrentIndependentRuns) {
   const FlRunResult replay_a =
       RunFederated(system_a, StressOptions(FlAlgorithm::kFedDaRestart, 3), 9);
   EXPECT_DOUBLE_EQ(result_a.final_auc, replay_a.final_auc);
-  EXPECT_EQ(result_a.total_uplink_bytes, replay_a.total_uplink_bytes);
+  EXPECT_EQ(SumOver(result_a.history, &RoundRecord::uplink_bytes),
+            SumOver(replay_a.history, &RoundRecord::uplink_bytes));
 }
 
 TEST(RunnerStressTest, DpNoiseAndFailuresUnderPool) {

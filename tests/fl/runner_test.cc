@@ -60,7 +60,8 @@ TEST_F(RunnerTest, FedAvgHistoryAndUplinkAccounting) {
     EXPECT_EQ(record.uplink_scalars, 4 * n_scalars);
     EXPECT_EQ(record.active_after_round, 4);
   }
-  EXPECT_EQ(result.total_uplink_groups, 4 * 4 * n_groups);
+  EXPECT_EQ(SumOver(result.history, &RoundRecord::uplink_groups),
+            4 * 4 * n_groups);
 }
 
 TEST_F(RunnerTest, FedAvgClientFractionReducesParticipants) {
@@ -114,8 +115,10 @@ TEST_F(RunnerTest, FedDaReducesCommunicationVsFedAvg) {
       *system_, FastOptions(FlAlgorithm::kFedDaRestart, rounds), 11);
   const FlRunResult explore = RunFederated(
       *system_, FastOptions(FlAlgorithm::kFedDaExplore, rounds), 11);
-  EXPECT_LT(restart.total_uplink_groups, fedavg.total_uplink_groups);
-  EXPECT_LT(explore.total_uplink_groups, fedavg.total_uplink_groups);
+  EXPECT_LT(SumOver(restart.history, &RoundRecord::uplink_groups),
+            SumOver(fedavg.history, &RoundRecord::uplink_groups));
+  EXPECT_LT(SumOver(explore.history, &RoundRecord::uplink_groups),
+            SumOver(fedavg.history, &RoundRecord::uplink_groups));
 }
 
 TEST_F(RunnerTest, FedDaRestartKeepsActiveSetAboveFloorOrRestarts) {
@@ -184,9 +187,10 @@ TEST_F(RunnerTest, FedAvgMeasuredBytesMatchDenseBroadcast) {
     EXPECT_GE(record.max_uplink_bytes, 4 * n_scalars);
     EXPECT_GE(record.max_downlink_bytes, 4 * n_scalars);
   }
-  EXPECT_EQ(result.total_downlink_scalars, 4 * 4 * n_scalars);
-  EXPECT_GT(result.total_uplink_bytes, 0);
-  EXPECT_GT(result.total_downlink_bytes, 0);
+  EXPECT_EQ(SumOver(result.history, &RoundRecord::downlink_scalars),
+            4 * 4 * n_scalars);
+  EXPECT_GT(SumOver(result.history, &RoundRecord::uplink_bytes), 0);
+  EXPECT_GT(SumOver(result.history, &RoundRecord::downlink_bytes), 0);
 }
 
 TEST_F(RunnerTest, FedDaDownlinkIsCheaperThanFullBroadcast) {
@@ -202,10 +206,12 @@ TEST_F(RunnerTest, FedDaDownlinkIsCheaperThanFullBroadcast) {
     participant_rounds += record.participants;
     EXPECT_LE(record.downlink_bytes, record.uplink_bytes);
   }
-  EXPECT_LT(explore.total_downlink_bytes,
+  EXPECT_LT(SumOver(explore.history, &RoundRecord::downlink_bytes),
             participant_rounds * fedavg.history[0].max_downlink_bytes);
-  EXPECT_LT(explore.total_downlink_bytes, fedavg.total_downlink_bytes);
-  EXPECT_LT(explore.total_uplink_bytes, fedavg.total_uplink_bytes);
+  EXPECT_LT(SumOver(explore.history, &RoundRecord::downlink_bytes),
+            SumOver(fedavg.history, &RoundRecord::downlink_bytes));
+  EXPECT_LT(SumOver(explore.history, &RoundRecord::uplink_bytes),
+            SumOver(fedavg.history, &RoundRecord::uplink_bytes));
 }
 
 TEST_F(RunnerTest, AllFailedRoundReportsNaNLossNotZero) {

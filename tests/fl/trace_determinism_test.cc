@@ -1,7 +1,7 @@
-// Tracing must be a pure observer: attaching a Tracer / MetricsRegistry to a
-// seeded run may not change a single bit of its results, with or without the
-// worker pool. Also validates that the spans a real federated run produces
-// are well-formed: properly nested per thread and exportable as structurally
+// Tracing must be a pure observer: attaching a Tracer to a seeded run may
+// not change a single bit of its results, with or without the worker pool.
+// Also validates that the spans a real federated run produces are
+// well-formed: properly nested per thread and exportable as structurally
 // sound Chrome trace JSON.
 
 #include <cstring>
@@ -13,8 +13,8 @@
 
 #include "core/string_util.h"
 #include "fl/experiment.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "tests/fl/every_field.h"
 
 namespace fedda::fl {
 namespace {
@@ -44,37 +44,14 @@ FlOptions TraceOptions(FlAlgorithm algorithm, int worker_threads) {
   return options;
 }
 
-/// Bitwise equality of two run results, every RoundRecord field included.
-/// Doubles compared through %.17g strings so a failure message shows the
-/// exact values.
+/// Bitwise equality of two run results: every RoundRecord field of every
+/// round and every event, doubles compared through %.17g strings so a
+/// failure message shows the exact values.
 void ExpectIdenticalResults(const FlRunResult& a, const FlRunResult& b) {
   auto d = [](double x) { return core::StrFormat("%.17g", x); };
   EXPECT_EQ(d(a.final_auc), d(b.final_auc));
   EXPECT_EQ(d(a.final_mrr), d(b.final_mrr));
-  EXPECT_EQ(a.total_uplink_groups, b.total_uplink_groups);
-  EXPECT_EQ(a.total_uplink_scalars, b.total_uplink_scalars);
-  EXPECT_EQ(a.total_max_uplink_scalars, b.total_max_uplink_scalars);
-  EXPECT_EQ(a.total_uplink_bytes, b.total_uplink_bytes);
-  EXPECT_EQ(a.total_downlink_bytes, b.total_downlink_bytes);
-  EXPECT_EQ(a.total_downlink_scalars, b.total_downlink_scalars);
-  EXPECT_EQ(a.total_max_downlink_scalars, b.total_max_downlink_scalars);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (size_t i = 0; i < a.history.size(); ++i) {
-    const RoundRecord& ra = a.history[i];
-    const RoundRecord& rb = b.history[i];
-    EXPECT_EQ(ra.round, rb.round) << "round " << i;
-    EXPECT_EQ(d(ra.auc), d(rb.auc)) << "round " << i;
-    EXPECT_EQ(d(ra.mrr), d(rb.mrr)) << "round " << i;
-    EXPECT_EQ(d(ra.mean_local_loss), d(rb.mean_local_loss)) << "round " << i;
-    EXPECT_EQ(ra.participants, rb.participants) << "round " << i;
-    EXPECT_EQ(ra.uplink_groups, rb.uplink_groups) << "round " << i;
-    EXPECT_EQ(ra.uplink_scalars, rb.uplink_scalars) << "round " << i;
-    EXPECT_EQ(ra.max_uplink_scalars, rb.max_uplink_scalars) << "round " << i;
-    EXPECT_EQ(ra.uplink_bytes, rb.uplink_bytes) << "round " << i;
-    EXPECT_EQ(ra.downlink_bytes, rb.downlink_bytes) << "round " << i;
-    EXPECT_EQ(ra.downlink_scalars, rb.downlink_scalars) << "round " << i;
-    EXPECT_EQ(ra.active_after_round, rb.active_after_round) << "round " << i;
-  }
+  EXPECT_EQ(testing::EveryField(a), testing::EveryField(b));
 }
 
 TEST(TraceDeterminismTest, TracedRunIsBitIdenticalSequential) {
@@ -83,10 +60,8 @@ TEST(TraceDeterminismTest, TracedRunIsBitIdenticalSequential) {
   const FlRunResult untraced = RunFederated(system, plain, 123);
 
   obs::Tracer tracer;
-  obs::MetricsRegistry registry;
   FlOptions traced_options = plain;
   traced_options.tracer = &tracer;
-  traced_options.metrics = &registry;
   const FlRunResult traced = RunFederated(system, traced_options, 123);
 
   ExpectIdenticalResults(untraced, traced);
@@ -177,28 +152,6 @@ TEST(TraceDeterminismTest, SpansNestProperlyUnderFourWorkers) {
     ++events;
   }
   EXPECT_EQ(events, spans.size());
-}
-
-TEST(TraceDeterminismTest, MetricsMirrorRunTotals) {
-  const FederatedSystem system = FederatedSystem::Build(TraceSystemConfig());
-  obs::MetricsRegistry registry;
-  FlOptions options = TraceOptions(FlAlgorithm::kFedDaRestart, 0);
-  options.metrics = &registry;
-  const FlRunResult result = RunFederated(system, options, 123);
-
-  int64_t participants = 0;
-  for (const RoundRecord& r : result.history) participants += r.participants;
-  EXPECT_EQ(registry.AddCounter("fl.rounds")->value(),
-            static_cast<int64_t>(result.history.size()));
-  EXPECT_EQ(registry.AddCounter("fl.participants")->value(), participants);
-  EXPECT_EQ(registry.AddCounter("fl.uplink_bytes")->value(),
-            result.total_uplink_bytes);
-  EXPECT_EQ(registry.AddCounter("fl.downlink_bytes")->value(),
-            result.total_downlink_bytes);
-  EXPECT_EQ(registry.AddCounter("fl.uplink_scalars")->value(),
-            result.total_uplink_scalars);
-  EXPECT_EQ(registry.AddCounter("fl.downlink_scalars")->value(),
-            result.total_downlink_scalars);
 }
 
 }  // namespace

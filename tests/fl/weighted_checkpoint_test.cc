@@ -55,7 +55,8 @@ TEST(WeightedAggregationTest, ChangesAggregateWhenShardsDiffer) {
   const FlRunResult result = RunFederated(system, weighted, 1);
   EXPECT_NE(base.final_auc, result.final_auc);
   // Accounting is independent of the weighting.
-  EXPECT_EQ(base.total_uplink_groups, result.total_uplink_groups);
+  EXPECT_EQ(SumOver(base.history, &RoundRecord::uplink_groups),
+            SumOver(result.history, &RoundRecord::uplink_groups));
 }
 
 TEST(WeightedAggregationTest, WorksUnderFedDaMasks) {

@@ -67,8 +67,10 @@ TEST_F(PipelineTest, FedDaMatchesFedAvgQualityWithLessCommunication) {
       *system_, Options(fl::FlAlgorithm::kFedDaExplore, rounds), 2);
 
   // RQ2: both strategies transmit strictly less than FedAvg.
-  EXPECT_LT(restart.total_uplink_groups, fedavg.total_uplink_groups);
-  EXPECT_LT(explore.total_uplink_groups, fedavg.total_uplink_groups);
+  EXPECT_LT(fl::SumOver(restart.history, &fl::RoundRecord::uplink_groups),
+            fl::SumOver(fedavg.history, &fl::RoundRecord::uplink_groups));
+  EXPECT_LT(fl::SumOver(explore.history, &fl::RoundRecord::uplink_groups),
+            fl::SumOver(fedavg.history, &fl::RoundRecord::uplink_groups));
   // RQ1 (weak form at this scale): quality within a few points of FedAvg.
   EXPECT_GT(restart.final_auc, fedavg.final_auc - 0.1);
   EXPECT_GT(explore.final_auc, fedavg.final_auc - 0.1);
@@ -129,7 +131,7 @@ TEST_F(PipelineTest, ScalarGranularityAblationRunsEndToEnd) {
   tensor::ParameterStore ref = system_->MakeInitialStore(5);
   EXPECT_GT(result.final_auc, 0.5);
   // Scalar masking withholds scalars even when every group stays requested.
-  EXPECT_LT(result.total_uplink_scalars,
+  EXPECT_LT(fl::SumOver(result.history, &fl::RoundRecord::uplink_scalars),
             static_cast<int64_t>(options.rounds) * system_->num_clients() *
                 ref.num_scalars());
 }
@@ -144,12 +146,14 @@ TEST_F(PipelineTest, Fig2RandomActivationModesRun) {
     c_options.client_fraction = fraction;
     const fl::FlRunResult c_run = RunFederated(*system_, c_options, 6);
     EXPECT_EQ(c_run.history.size(), 3u);
-    EXPECT_LT(c_run.total_uplink_groups, full.total_uplink_groups);
+    EXPECT_LT(fl::SumOver(c_run.history, &fl::RoundRecord::uplink_groups),
+              fl::SumOver(full.history, &fl::RoundRecord::uplink_groups));
 
     fl::FlOptions d_options = Options(fl::FlAlgorithm::kFedAvg, 3);
     d_options.param_fraction = fraction;
     const fl::FlRunResult d_run = RunFederated(*system_, d_options, 6);
-    EXPECT_LT(d_run.total_uplink_groups, full.total_uplink_groups);
+    EXPECT_LT(fl::SumOver(d_run.history, &fl::RoundRecord::uplink_groups),
+              fl::SumOver(full.history, &fl::RoundRecord::uplink_groups));
   }
 }
 

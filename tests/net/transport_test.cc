@@ -29,7 +29,6 @@
 #include "fl/wire.h"
 #include "net/framing.h"
 #include "net/socket.h"
-#include "obs/metrics_registry.h"
 #include "tensor/parameter_store.h"
 
 namespace fedda::net {
@@ -285,9 +284,12 @@ void ExpectSameHistory(const fl::FlRunResult& remote,
   }
   EXPECT_EQ(remote.final_auc, reference.final_auc);
   EXPECT_EQ(remote.final_mrr, reference.final_mrr);
-  EXPECT_EQ(remote.total_uplink_bytes, reference.total_uplink_bytes);
-  EXPECT_EQ(remote.total_downlink_bytes, reference.total_downlink_bytes);
-  EXPECT_EQ(remote.total_uplink_scalars, reference.total_uplink_scalars);
+  for (int64_t fl::RoundRecord::*field :
+       {&fl::RoundRecord::uplink_bytes, &fl::RoundRecord::downlink_bytes,
+        &fl::RoundRecord::uplink_scalars}) {
+    EXPECT_EQ(fl::SumOver(remote.history, field),
+              fl::SumOver(reference.history, field));
+  }
 }
 
 /// Runs the reference in-process and then the same seeded experiment over
@@ -493,16 +495,13 @@ void RunDoomedClient(const std::string& address, int client_id,
 
 /// Runs the FedAvg test config over a socket transport whose last client
 /// is an impostor following `mode`; the others are real remote clients.
-/// `transport` receives the server side for post-run inspection, and
-/// `metrics` (optional) the run's counters.
+/// `transport` receives the server side for post-run inspection.
 fl::FlRunResult RunWithImpostor(FailureMode mode, const char* tag,
                                 double reply_timeout_sec,
-                                std::unique_ptr<SocketTransport>* transport,
-                                obs::MetricsRegistry* metrics = nullptr) {
+                                std::unique_ptr<SocketTransport>* transport) {
   const fl::FederatedSystem system =
       fl::FederatedSystem::Build(TestSystemConfig());
   fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
-  options.metrics = metrics;
 
   const uint64_t fingerprint = Fingerprint64(tag);
   ServerOptions server;
@@ -593,10 +592,9 @@ TEST(SocketTransportTest, SilentPeerTimesOutIntoADeparture) {
 /// run in which the impostor closed its socket on the first task.
 void ExpectReplyExpelledAsDeparture(FailureMode mode, const char* tag,
                                     const char* reference_tag) {
-  obs::MetricsRegistry metrics;
   std::unique_ptr<SocketTransport> transport;
-  const fl::FlRunResult result = RunWithImpostor(
-      mode, tag, /*reply_timeout_sec=*/60.0, &transport, &metrics);
+  const fl::FlRunResult result =
+      RunWithImpostor(mode, tag, /*reply_timeout_sec=*/60.0, &transport);
   const fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
   ASSERT_EQ(result.history.size(), static_cast<size_t>(options.rounds));
   int departures = 0;
@@ -605,7 +603,6 @@ void ExpectReplyExpelledAsDeparture(FailureMode mode, const char* tag,
   }
   EXPECT_EQ(departures, 1);
   EXPECT_EQ(result.history[0].departures, 1);
-  EXPECT_EQ(metrics.AddCounter("fl.departures")->value(), 1);
 
   // The honest clients see exactly the run in which the impostor's slot
   // dropped out in round 0 without sending anything.
