@@ -1,6 +1,7 @@
 // Microbenchmarks for the tensor/autograd substrate, plus the dispatched
-// kernel speed grid: every kernel × {scalar, auto} dispatch × {1, N}
-// threads, registered under "kernel/..." names. A custom main captures the
+// kernel speed grid: matmul, scatter-add-rows and accumulate-add (kernels
+// whose code differs between the scalar and AVX2 paths) × {scalar, auto}
+// dispatch × {1, N} threads, registered under "kernel/..." names. A custom main captures the
 // kernel-grid timings and writes them to bench_results/kernel_speed.json
 // (override with --kernel_json=PATH; CI uploads the file as an artifact so
 // scalar-vs-SIMD speedups are tracked per commit).
@@ -148,46 +149,46 @@ void KernelMatMul(benchmark::State& state, k::DispatchMode mode,
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 
-void KernelGather(benchmark::State& state, k::DispatchMode mode,
-                  int threads) {
-  ScopedDispatch dispatch(mode);
-  std::unique_ptr<core::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
-  const int64_t rows = 8192, cols = 64, n_idx = 16384;
-  core::Rng rng(12);
-  const Tensor src = Tensor::RandomNormal(rows, cols, &rng);
-  std::vector<int32_t> idx(static_cast<size_t>(n_idx));
-  for (auto& i : idx) {
-    i = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(rows)));
-  }
-  Tensor out(n_idx, cols);
-  for (auto _ : state) {
-    k::GatherRows(src.data(), idx.data(), n_idx, cols, out.data(),
-                  pool.get());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n_idx * cols);
-}
-
-void KernelSegmentSoftmax(benchmark::State& state, k::DispatchMode mode,
+void KernelScatterAddRows(benchmark::State& state, k::DispatchMode mode,
                           int threads) {
   ScopedDispatch dispatch(mode);
   std::unique_ptr<core::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
-  const int64_t edges = 32768, nodes = edges / 8;
-  core::Rng rng(13);
-  const Tensor logits = Tensor::RandomNormal(edges, 1, &rng);
-  std::vector<int32_t> seg(static_cast<size_t>(edges));
-  for (auto& s : seg) {
-    s = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(nodes)));
+  // One attention head's edge messages: 16 columns, the hidden width of
+  // the benchmark workloads, summed into 8x fewer destination nodes.
+  const int64_t edges = 32768, nodes = edges / 8, cols = 16;
+  core::Rng rng(12);
+  const Tensor src = Tensor::RandomNormal(edges, cols, &rng);
+  std::vector<int32_t> dst(static_cast<size_t>(edges));
+  for (auto& d : dst) {
+    d = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(nodes)));
   }
-  const k::Csr csr = k::BuildCsr(seg, nodes);
-  Tensor out(edges, 1);
+  const k::Csr csr = k::BuildCsr(dst, nodes);
+  Tensor out(nodes, cols);
   for (auto _ : state) {
-    k::SegmentSoftmax(logits.data(), csr, out.data(), pool.get());
+    out.Fill(0.0f);
+    k::ScatterAddRows(src.data(), csr, cols, out.data(), pool.get());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * edges);
+  state.SetItemsProcessed(state.iterations() * edges * cols);
+}
+
+void KernelAccumulateAdd(benchmark::State& state, k::DispatchMode mode,
+                         int threads) {
+  ScopedDispatch dispatch(mode);
+  std::unique_ptr<core::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+  const int64_t n = 1 << 16;
+  core::Rng rng(13);
+  const Tensor src = Tensor::RandomNormal(n, 1, &rng);
+  Tensor dst(n, 1);
+  for (auto _ : state) {
+    k::AccumulateAdd(dst.data(), src.data(), n, pool.get());
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
 }
 
 void RegisterKernelGrid() {
@@ -195,8 +196,8 @@ void RegisterKernelGrid() {
     const char* name;
     void (*fn)(benchmark::State&, k::DispatchMode, int);
   } kernels[] = {{"matmul", KernelMatMul},
-                 {"gather", KernelGather},
-                 {"segment_softmax", KernelSegmentSoftmax}};
+                 {"scatter_add_rows", KernelScatterAddRows},
+                 {"accumulate_add", KernelAccumulateAdd}};
   const struct {
     const char* name;
     k::DispatchMode mode;

@@ -201,34 +201,6 @@ pid_t SpawnClient(const DemoFlags& flags, int client_id,
   _exit(127);
 }
 
-bool SameHistory(const fedda::fl::FlRunResult& remote,
-                 const fedda::fl::FlRunResult& reference) {
-  bool same = remote.history.size() == reference.history.size() &&
-              remote.final_auc == reference.final_auc &&
-              remote.final_mrr == reference.final_mrr;
-  const size_t rounds =
-      std::min(remote.history.size(), reference.history.size());
-  for (size_t r = 0; r < rounds; ++r) {
-    const fedda::fl::RoundRecord& a = remote.history[r];
-    const fedda::fl::RoundRecord& b = reference.history[r];
-    if (a.auc != b.auc || a.mrr != b.mrr ||
-        a.mean_local_loss != b.mean_local_loss ||
-        a.participants != b.participants ||
-        a.uplink_bytes != b.uplink_bytes ||
-        a.downlink_bytes != b.downlink_bytes ||
-        a.uplink_scalars != b.uplink_scalars ||
-        a.active_after_round != b.active_after_round) {
-      std::fprintf(stderr,
-                   "round %zu diverged: auc %.17g vs %.17g, loss %.17g vs "
-                   "%.17g, uplink %" PRId64 " vs %" PRId64 " bytes\n",
-                   r, a.auc, b.auc, a.mean_local_loss, b.mean_local_loss,
-                   a.uplink_bytes, b.uplink_bytes);
-      same = false;
-    }
-  }
-  return same;
-}
-
 /// Reaps every child; fills `statuses` with raw waitpid status words.
 void ReapChildren(const std::vector<pid_t>& pids,
                   std::vector<int>* statuses) {
@@ -353,13 +325,16 @@ Status RunDriver(DemoFlags flags) {
     return Status::OK();
   }
 
-  if (!SameHistory(result, reference)) {
+  // Every RoundRecord field and every event: "remote | in-process".
+  if (const std::string diff =
+          fedda::fl::FirstFieldDifference(result, reference);
+      !diff.empty()) {
     return Status::Internal(
-        "multi-process round history diverged from the in-process run");
+        "multi-process run diverged from the in-process run at " + diff);
   }
-  std::printf("[driver] verify OK: %zu rounds bit-identical to the "
-              "in-process runner\n",
-              result.history.size());
+  std::printf("[driver] verify OK: %zu rounds and %zu events bit-identical "
+              "to the in-process runner\n",
+              result.history.size(), result.events.size());
 
   if (bench) {
     // What the post-hoc estimator would have predicted for this history,

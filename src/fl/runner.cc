@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/logging.h"
+#include "core/string_util.h"
 #include "core/thread_pool.h"
 #include "fl/aggregator.h"
 #include "fl/transport.h"
@@ -27,6 +28,52 @@ const char* FlAlgorithmName(FlAlgorithm algorithm) {
       return "FedDA-Explore";
   }
   return "Unknown";
+}
+
+std::vector<std::string> EveryField(const FlRunResult& result) {
+  std::vector<std::string> out;
+  for (const RoundRecord& r : result.history) {
+    out.push_back(core::StrFormat("r%d auc=%.17g mrr=%.17g loss=%.17g ",
+                                  r.round, r.auc, r.mrr, r.mean_local_loss));
+    out.push_back(core::StrFormat(
+        "p=%d ug=%lld us=%lld mus=%lld ub=%lld mub=%lld ", r.participants,
+        static_cast<long long>(r.uplink_groups),
+        static_cast<long long>(r.uplink_scalars),
+        static_cast<long long>(r.max_uplink_scalars),
+        static_cast<long long>(r.uplink_bytes),
+        static_cast<long long>(r.max_uplink_bytes)));
+    out.push_back(core::StrFormat(
+        "ds=%lld mds=%lld db=%lld mdb=%lld act=%d st=%d dep=%d stale=%.17g "
+        "vt=%.17g fr=%d",
+        static_cast<long long>(r.downlink_scalars),
+        static_cast<long long>(r.max_downlink_scalars),
+        static_cast<long long>(r.downlink_bytes),
+        static_cast<long long>(r.max_downlink_bytes), r.active_after_round,
+        r.started, r.departures, r.mean_staleness, r.virtual_time_sec,
+        r.forced_reactivation ? 1 : 0));
+  }
+  for (const Event& e : result.events) {
+    out.push_back(core::StrFormat("%s c%d r%d t=%.17g #%llu",
+                                  EventKindName(e.kind), e.client, e.round,
+                                  e.time,
+                                  static_cast<unsigned long long>(e.seq)));
+  }
+  return out;
+}
+
+std::string FirstFieldDifference(const FlRunResult& a, const FlRunResult& b) {
+  const std::vector<std::string> lines_a = EveryField(a);
+  const std::vector<std::string> lines_b = EveryField(b);
+  const std::string none = "<none>";
+  for (size_t i = 0; i < std::max(lines_a.size(), lines_b.size()); ++i) {
+    const std::string& line_a = i < lines_a.size() ? lines_a[i] : none;
+    const std::string& line_b = i < lines_b.size() ? lines_b[i] : none;
+    if (line_a != line_b) {
+      return core::StrFormat("line %zu: %s | %s", i, line_a.c_str(),
+                             line_b.c_str());
+    }
+  }
+  return "";
 }
 
 namespace {

@@ -222,6 +222,18 @@ inline int64_t SumOver(const std::vector<RoundRecord>& history,
   return total;
 }
 
+/// Every RoundRecord field of every round (doubles at %.17g), then every
+/// processed event (FlRunResult::events), as text lines; a round renders as
+/// three lines. Two runs agree bit for bit exactly when their renderings
+/// are equal, which is how the goldens pin runs and how an in-process run
+/// is compared with the same run over a transport.
+std::vector<std::string> EveryField(const FlRunResult& result);
+
+/// The first line where EveryField(a) and EveryField(b) differ, as
+/// "line <i>: <a's line> | <b's line>" with "<none>" for a missing line, or
+/// "" when the two runs agree on every field and event.
+std::string FirstFieldDifference(const FlRunResult& a, const FlRunResult& b);
+
 /// Orchestrates one federated training run (Algorithm 1): owns the clients,
 /// drives rounds, performs masked aggregation (Eq. 6), updates activation
 /// state, and evaluates the global model on the global test set.

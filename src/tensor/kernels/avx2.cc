@@ -1,18 +1,16 @@
-// Compiled with -mavx2 -ffp-contract=off when the toolchain supports it
-// (see src/tensor/CMakeLists.txt); otherwise every function forwards to the
-// scalar reference. -ffp-contract=off matters: contracting mul+add into an
-// FMA would change rounding and break the bit-exactness contract.
-//
-// Vectorization rules that keep every kernel bit-identical to scalar.cc:
-//  - elementwise kernels are lane-independent, so an 8-wide main loop plus
-//    a scalar tail computes exactly the scalar expression per element;
-//  - multiplies and adds stay separate intrinsics (_mm256_mul_ps then
-//    _mm256_add_ps), never _mm256_fmadd_ps;
-//  - matmul (plain and transposed-operand) keeps the per-element reduction
-//    in increasing-kk order and the semantic zero-skip of the scalar path,
-//    only widening over the output columns j (lane-independent direction);
-//  - branches become compare+blend mirroring the scalar ternary exactly
-//    (including negative zero and NaN operands).
+// The AVX2 path, built with AVX2 codegen and -ffp-contract=off when the
+// toolchain supports it (see src/tensor/CMakeLists.txt). Its lane-independent
+// kernels are lane_kernels.inc, the scalar path's source, vectorized by the
+// compiler. Only the two matmuls are written in intrinsics: they keep their
+// accumulators in registers across the whole kk reduction, which the
+// compiler does not do. Rules that keep them bit-identical to scalar.cc:
+//  - each out[i,j] sums over kk in increasing order, with the scalar path's
+//    semantic zero-skip; only the lane-independent direction (output
+//    columns, or output rows in MatMulTransABlock) is widened;
+//  - multiplies and adds stay separate intrinsics, never a fused
+//    multiply-add.
+// Without AVX2 the shared kernels compile as scalar code and the matmuls
+// forward to scalar.
 
 #include "tensor/kernels/internal.h"
 
@@ -187,156 +185,7 @@ void MatMulTransARows(const float* a, const float* b, float* out,
                  n);
 }
 
-void EwMul(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < end; ++i) out[i] = a[i] * b[i];
-}
-
-void EwAdd(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < end; ++i) out[i] = a[i] + b[i];
-}
-
-void EwSub(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < end; ++i) out[i] = a[i] - b[i];
-}
-
-void AccumulateAdd(float* dst, const float* src, int64_t begin, int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                                            _mm256_loadu_ps(src + i)));
-  }
-  for (; i < end; ++i) dst[i] += src[i];
-}
-
-void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
-                    int64_t end) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(src + i));
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), prod));
-  }
-  for (; i < end; ++i) dst[i] += alpha * src[i];
-}
-
-void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
-                   int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256 prod =
-        _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), prod));
-  }
-  for (; i < end; ++i) dst[i] += a[i] * b[i];
-}
-
-void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i), va));
-  }
-  for (; i < end; ++i) dst[i] *= alpha;
-}
-
-namespace {
-
-// v > 0 ? v : slope * v, lane-wise. The compare-and-blend reproduces the
-// scalar ternary exactly: +0/-0 compare as not-greater (take slope * v, and
-// slope * ±0 matches scalar), NaN compares false (take slope * NaN = NaN,
-// same quieted multiply as scalar).
-inline __m256 LeakyReluVec(__m256 v, __m256 vslope, __m256 vzero) {
-  const __m256 neg = _mm256_mul_ps(vslope, v);
-  const __m256 gt = _mm256_cmp_ps(v, vzero, _CMP_GT_OQ);
-  return _mm256_blendv_ps(neg, v, gt);
-}
-
-}  // namespace
-
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end) {
-  const __m256 vslope = _mm256_set1_ps(slope);
-  const __m256 vzero = _mm256_setzero_ps();
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(out + i,
-                     LeakyReluVec(_mm256_loadu_ps(a + i), vslope, vzero));
-  }
-  for (; i < end; ++i) {
-    const float x = a[i];
-    out[i] = x > 0.0f ? x : slope * x;
-  }
-}
-
-void BiasAddRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      _mm256_storeu_ps(orow + c, _mm256_add_ps(_mm256_loadu_ps(xrow + c),
-                                               _mm256_loadu_ps(bias + c)));
-    }
-    for (; c < cols; ++c) orow[c] = xrow[c] + bias[c];
-  }
-}
-
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* srow = src + static_cast<int64_t>(idx[i]) * cols;
-    float* drow = dst + i * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      _mm256_storeu_ps(drow + c, _mm256_add_ps(_mm256_loadu_ps(drow + c),
-                                               _mm256_loadu_ps(srow + c)));
-    }
-    for (; c < cols; ++c) drow[c] += srow[c];
-  }
-}
-
-void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
-                         float* out, int64_t row_begin, int64_t row_end) {
-  // Contributions to one destination row are accumulated position by
-  // position (never reassociated across positions); only the independent
-  // column direction is widened.
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    float* dst = out + r * cols;
-    for (int64_t p = csr.offsets[static_cast<size_t>(r)];
-         p < csr.offsets[static_cast<size_t>(r) + 1]; ++p) {
-      const int64_t i = csr.order[static_cast<size_t>(p)];
-      const float* srow = src + i * cols;
-      int64_t c = 0;
-      for (; c + 8 <= cols; c += 8) {
-        _mm256_storeu_ps(dst + c, _mm256_add_ps(_mm256_loadu_ps(dst + c),
-                                                _mm256_loadu_ps(srow + c)));
-      }
-      for (; c < cols; ++c) dst[c] += srow[c];
-    }
-  }
-}
-
-#else  // !defined(__AVX2__): toolchain without -mavx2; forward to scalar.
+#else  // !defined(__AVX2__): toolchain without -mavx2.
 
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
                 int64_t row_end, int64_t k, int64_t n) {
@@ -347,50 +196,9 @@ void MatMulTransARows(const float* a, const float* b, float* out,
                       int64_t k, int64_t n) {
   scalar::MatMulTransARows(a, b, out, row_begin, row_end, m, k, n);
 }
-void EwMul(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  scalar::EwMul(a, b, out, begin, end);
-}
-void EwAdd(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  scalar::EwAdd(a, b, out, begin, end);
-}
-void EwSub(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  scalar::EwSub(a, b, out, begin, end);
-}
-void AccumulateAdd(float* dst, const float* src, int64_t begin, int64_t end) {
-  scalar::AccumulateAdd(dst, src, begin, end);
-}
-void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
-                    int64_t end) {
-  scalar::AccumulateAxpy(dst, alpha, src, begin, end);
-}
-void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
-                   int64_t end) {
-  scalar::AccumulateMul(dst, a, b, begin, end);
-}
-void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
-  scalar::Scale(dst, alpha, begin, end);
-}
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end) {
-  scalar::LeakyRelu(a, out, slope, begin, end);
-}
-void BiasAddRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols) {
-  scalar::BiasAddRows(x, bias, out, row_begin, row_end, cols);
-}
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst) {
-  scalar::AccumulateGatherRowsRange(src, idx, i_begin, i_end, cols, dst);
-}
-void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
-                         float* out, int64_t row_begin, int64_t row_end) {
-  scalar::ScatterAddRowsRange(src, csr, cols, out, row_begin, row_end);
-}
 
 #endif  // defined(__AVX2__)
+
+#include "tensor/kernels/lane_kernels.inc"
 
 }  // namespace fedda::tensor::kernels::avx2

@@ -45,10 +45,6 @@ void SetDispatchMode(DispatchMode mode) {
 DispatchMode ParseDispatchMode(const char* value) {
   if (value == nullptr) return DispatchMode::kAuto;
   if (std::strcmp(value, "scalar") == 0) return DispatchMode::kScalar;
-  if (std::strcmp(value, "avx2") == 0) return DispatchMode::kAvx2;
-  // No NEON path is built: a NEON request runs the scalar reference, as
-  // any request for an unavailable path does.
-  if (std::strcmp(value, "neon") == 0) return DispatchMode::kScalar;
   return DispatchMode::kAuto;
 }
 
@@ -57,14 +53,7 @@ bool Avx2Available() {
 }
 
 Path ActivePath() {
-  switch (dispatch_mode()) {
-    case DispatchMode::kScalar:
-      return Path::kScalar;
-    case DispatchMode::kAvx2:
-      return Avx2Available() ? Path::kAvx2 : Path::kScalar;
-    case DispatchMode::kAuto:
-      break;
-  }
+  if (dispatch_mode() == DispatchMode::kScalar) return Path::kScalar;
   return Avx2Available() ? Path::kAvx2 : Path::kScalar;
 }
 
@@ -169,136 +158,80 @@ int64_t CsrCacheMisses() { return g_csr_misses.load(); }
 // Kernel entry points
 // ---------------------------------------------------------------------------
 
-// Resolve the path once per kernel call (not per chunk) and route each
-// chunk to that path's serial implementation.
-#define FEDDA_DISPATCH_PATH(path, fn, ...)   \
-  switch (path) {                            \
-    case Path::kScalar:                      \
-      scalar::fn(__VA_ARGS__);               \
-      break;                                 \
-    case Path::kAvx2:                        \
-      avx2::fn(__VA_ARGS__);                 \
-      break;                                 \
-  }
+// Resolves the path once per kernel call (not per chunk), partitions
+// [0, count) with the pool, and runs that path's serial `fn` on each chunk
+// [begin, end), which the trailing arguments pass on.
+#define FEDDA_DISPATCH(count, grain, fn, ...)                          \
+  do {                                                                 \
+    const Path path = ActivePath();                                    \
+    core::ParallelForRange(pool, count, grain,                         \
+                           [=](int64_t begin, int64_t end) {           \
+                             if (path == Path::kAvx2) {                \
+                               avx2::fn(__VA_ARGS__);                  \
+                             } else {                                  \
+                               scalar::fn(__VA_ARGS__);                \
+                             }                                         \
+                           });                                         \
+  } while (0)
 
+// Matmul output rows are independent, so any row partition keeps each row's
+// increasing-kk order; one row costs k * n multiply-adds.
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  // Output rows are independent; parallelizing over them preserves each
-  // row's accumulation order exactly. Grain sized so a chunk carries at
-  // least ~16k multiply-adds.
-  const int64_t grain =
-      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
-  core::ParallelForRange(pool, m, grain,
-                         [=](int64_t row_begin, int64_t row_end) {
-                           FEDDA_DISPATCH_PATH(path, MatMulRows, a, b, out,
-                                               row_begin, row_end, k, n)
-                         });
+  FEDDA_DISPATCH(m, RowGrain(k * n), MatMulRows, a, b, out, begin, end, k, n);
 }
 
 void MatMulTransA(const float* a, const float* b, float* out, int64_t m,
                   int64_t k, int64_t n, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  // Same partition as MatMul: output rows are independent, and each row's
-  // reduction runs in increasing-kk order inside one chunk.
-  const int64_t grain =
-      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
-  core::ParallelForRange(pool, m, grain,
-                         [=](int64_t row_begin, int64_t row_end) {
-                           FEDDA_DISPATCH_PATH(path, MatMulTransARows, a, b,
-                                               out, row_begin, row_end, m, k,
-                                               n)
-                         });
+  FEDDA_DISPATCH(m, RowGrain(k * n), MatMulTransARows, a, b, out, begin, end,
+                 m, k, n);
 }
 
 void EwMul(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, EwMul, a, b, out, begin,
-                                               end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, EwMul, a, b, out, begin, end);
 }
 
 void EwAdd(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, EwAdd, a, b, out, begin,
-                                               end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, EwAdd, a, b, out, begin, end);
 }
 
 void EwSub(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, EwSub, a, b, out, begin,
-                                               end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, EwSub, a, b, out, begin, end);
 }
 
 void AccumulateAdd(float* dst, const float* src, int64_t n,
                    core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, AccumulateAdd, dst, src,
-                                               begin, end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, AccumulateAdd, dst, src, begin, end);
 }
 
 void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t n,
                     core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, AccumulateAxpy, dst,
-                                               alpha, src, begin, end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, AccumulateAxpy, dst, alpha, src, begin,
+                 end);
 }
 
 void AccumulateMul(float* dst, const float* a, const float* b, int64_t n,
                    core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, AccumulateMul, dst, a, b,
-                                               begin, end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, AccumulateMul, dst, a, b, begin, end);
 }
 
 void ScaleInPlace(float* dst, float alpha, int64_t n,
                   core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, Scale, dst, alpha, begin,
-                                               end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, Scale, dst, alpha, begin, end);
 }
 
 void LeakyRelu(const float* a, float* out, int64_t n, float slope,
                core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, LeakyRelu, a, out, slope,
-                                               begin, end)
-                         });
+  FEDDA_DISPATCH(n, kElementGrain, LeakyRelu, a, out, slope, begin, end);
 }
 
 void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
              int64_t cols, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           FEDDA_DISPATCH_PATH(path, BiasAddRows, x, bias,
-                                               out, row_begin, row_end, cols)
-                         });
+  FEDDA_DISPATCH(rows, RowGrain(cols), BiasAddRows, x, bias, out, begin, end,
+                 cols);
 }
 
 // Row copies are memory-bound; the dispatchable win for gather/scatter is
@@ -314,24 +247,17 @@ void GatherRows(const float* src, const int32_t* idx, int64_t n_idx,
 
 void AccumulateGatherRows(const float* src, const int32_t* idx, int64_t n_idx,
                           int64_t cols, float* dst, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(
-      pool, n_idx, RowGrain(cols), [=](int64_t i_begin, int64_t i_end) {
-        FEDDA_DISPATCH_PATH(path, AccumulateGatherRowsRange, src, idx,
-                            i_begin, i_end, cols, dst)
-      });
+  FEDDA_DISPATCH(n_idx, RowGrain(cols), AccumulateGatherRowsRange, src, idx,
+                 begin, end, cols, dst);
 }
 
 void ScatterAddRows(const float* src, const Csr& csr, int64_t cols,
                     float* out, core::ThreadPool* pool) {
-  const Path path = ActivePath();
+  // The chunks share the caller's Csr; capturing `csr` itself would copy it.
   const Csr* csr_ptr = &csr;
   const int64_t num_rows = static_cast<int64_t>(csr.offsets.size()) - 1;
-  core::ParallelForRange(
-      pool, num_rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_PATH(path, ScatterAddRowsRange, src, *csr_ptr, cols,
-                            out, row_begin, row_end)
-      });
+  FEDDA_DISPATCH(num_rows, RowGrain(cols), ScatterAddRowsRange, src, *csr_ptr,
+                 cols, out, begin, end);
 }
 
 void SegmentSoftmax(const float* logits, const Csr& csr, float* out,
@@ -356,6 +282,6 @@ void SegmentSoftmaxGrad(const float* y, const float* dy, const Csr& csr,
                          });
 }
 
-#undef FEDDA_DISPATCH_PATH
+#undef FEDDA_DISPATCH
 
 }  // namespace fedda::tensor::kernels

@@ -13,34 +13,38 @@ namespace fedda::tensor::kernels {
 
 /// Runtime-dispatched tensor kernels (DESIGN.md §13).
 ///
-/// Every kernel here is *bit-exact across dispatch paths*: the vectorized
-/// implementations only reorganize lane-independent arithmetic (separate
-/// mul and add, never FMA; reductions keep the scalar path's accumulation
-/// order), so the scalar and AVX2 paths produce byte-identical outputs. The
-/// kernel-equivalence suite (tests/tensor/kernel_equivalence_test.cc)
-/// enforces this for every kernel under every available path × {0,1,4}
-/// threads; the golden-run suite enforces it end to end.
+/// Every kernel here is *bit-exact across dispatch paths*: vectorization
+/// only widens lane-independent arithmetic (separate mul and add, never
+/// FMA; reductions keep the scalar path's accumulation order), so the
+/// scalar and AVX2 paths produce byte-identical outputs. The elementwise,
+/// accumulate, bias, gather-accumulate and scatter kernels have one source
+/// that both paths compile (the AVX2 build is vectorized by the compiler);
+/// only the matmuls are hand-written per path. The kernel-equivalence suite
+/// (tests/tensor/kernel_equivalence_test.cc) enforces bit-exactness for
+/// every kernel under every available path × {0,1,4} threads; the
+/// golden-run suite enforces it end to end.
 ///
-/// Exp-based kernels (segment-softmax) deliberately stay scalar under every
-/// path — a vectorized exp() approximation would change bits.
+/// The row-copy gather and the exp-based segment-softmax run the scalar
+/// code under every path: a copy gains nothing from dispatch, and a
+/// vectorized exp() approximation would change bits.
 
 // ---------------------------------------------------------------------------
 // Dispatch policy
 // ---------------------------------------------------------------------------
 
 /// What the process is asked to run. kAuto resolves to the best path the
-/// CPU and build support. Initialized once from FEDDA_KERNEL_DISPATCH
-/// (scalar|avx2|auto, default auto); tests override programmatically.
-enum class DispatchMode : uint8_t { kAuto, kScalar, kAvx2 };
+/// CPU and build support; kScalar forces the reference. Initialized once
+/// from FEDDA_KERNEL_DISPATCH (scalar|auto, default auto); tests override
+/// programmatically.
+enum class DispatchMode : uint8_t { kAuto, kScalar };
 
-/// What actually executes. A mode requesting an unavailable path resolves
+/// What actually executes. kAuto on a host or build without AVX2 resolves
 /// to kScalar (graceful, never fatal: the scalar path is always correct).
 enum class Path : uint8_t { kScalar, kAvx2 };
 
 DispatchMode dispatch_mode();
 void SetDispatchMode(DispatchMode mode);
-/// Parses "scalar"/"avx2"/"auto"; "neon" (no NEON path is built) ->
-/// kScalar; anything else (and null) -> kAuto.
+/// "scalar" -> kScalar; anything else (and null) -> kAuto.
 DispatchMode ParseDispatchMode(const char* value);
 
 /// The path the current mode resolves to on this machine.
@@ -130,8 +134,8 @@ void AccumulateMul(float* dst, const float* a, const float* b, int64_t n,
 /// dst[i] *= alpha.
 void ScaleInPlace(float* dst, float alpha, int64_t n,
                   core::ThreadPool* pool);
-/// out[i] = a[i] > 0 ? a[i] : slope * a[i] (compare+blend, mirroring the
-/// scalar ternary bit for bit, including negative zero).
+/// out[i] = a[i] > 0 ? a[i] : slope * a[i]; -0 and NaN take the slope
+/// branch on every path.
 void LeakyRelu(const float* a, float* out, int64_t n, float slope,
                core::ThreadPool* pool);
 

@@ -6,10 +6,13 @@
 
 namespace fedda::tensor::kernels::scalar {
 
-// The loops below ARE the numeric contract: they reproduce the historical
-// op implementations expression for expression (same operation order, no
-// reassociation), and every vectorized path is tested bit-for-bit against
-// them. Change nothing here without regenerating every golden suite.
+// The loops in this file and in lane_kernels.inc ARE the numeric contract:
+// they reproduce the historical op implementations expression for
+// expression (same operation order, no reassociation), and the AVX2 path is
+// tested bit-for-bit against them. Change nothing here without regenerating
+// every golden suite. avx2.cc compiles lane_kernels.inc again and
+// hand-blocks its own matmul; the gather copy and the segment softmax below
+// run on every path.
 
 namespace {
 
@@ -50,84 +53,13 @@ void MatMulTransARows(const float* a, const float* b, float* out,
                  /*k_stride=*/m, k, n);
 }
 
-void EwMul(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  for (int64_t i = begin; i < end; ++i) out[i] = a[i] * b[i];
-}
-
-void EwAdd(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  for (int64_t i = begin; i < end; ++i) out[i] = a[i] + b[i];
-}
-
-void EwSub(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end) {
-  for (int64_t i = begin; i < end; ++i) out[i] = a[i] - b[i];
-}
-
-void AccumulateAdd(float* dst, const float* src, int64_t begin, int64_t end) {
-  for (int64_t i = begin; i < end; ++i) dst[i] += src[i];
-}
-
-void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
-                    int64_t end) {
-  for (int64_t i = begin; i < end; ++i) dst[i] += alpha * src[i];
-}
-
-void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
-                   int64_t end) {
-  for (int64_t i = begin; i < end; ++i) dst[i] += a[i] * b[i];
-}
-
-void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
-  for (int64_t i = begin; i < end; ++i) dst[i] *= alpha;
-}
-
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end) {
-  for (int64_t i = begin; i < end; ++i) {
-    const float x = a[i];
-    out[i] = x > 0.0f ? x : slope * x;
-  }
-}
-
-void BiasAddRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    for (int64_t c = 0; c < cols; ++c) orow[c] = xrow[c] + bias[c];
-  }
-}
+#include "tensor/kernels/lane_kernels.inc"
 
 void GatherRowsRange(const float* src, const int32_t* idx, int64_t i_begin,
                      int64_t i_end, int64_t cols, float* out) {
   for (int64_t i = i_begin; i < i_end; ++i) {
     const int64_t r = idx[i];
     std::copy(src + r * cols, src + (r + 1) * cols, out + i * cols);
-  }
-}
-
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* srow = src + static_cast<int64_t>(idx[i]) * cols;
-    float* drow = dst + i * cols;
-    for (int64_t c = 0; c < cols; ++c) drow[c] += srow[c];
-  }
-}
-
-void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
-                         float* out, int64_t row_begin, int64_t row_end) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    float* dst = out + r * cols;
-    for (int64_t p = csr.offsets[static_cast<size_t>(r)];
-         p < csr.offsets[static_cast<size_t>(r) + 1]; ++p) {
-      const int64_t i = csr.order[static_cast<size_t>(p)];
-      const float* srow = src + i * cols;
-      for (int64_t c = 0; c < cols; ++c) dst[c] += srow[c];
-    }
   }
 }
 

@@ -13,7 +13,6 @@
 #include "fl/runner.h"
 #include "hgn/node_classification.h"
 #include "obs/trace.h"
-#include "tests/fl/every_field.h"
 
 namespace fedda::fl {
 namespace {
@@ -172,7 +171,7 @@ TEST_F(NodeClassificationFlTest, TracedRunRecordsKernelSpansAndIsBitIdentical) {
   FederatedRunner traced_runner(MakeClients(), MakeEvaluator(), options);
   const FlRunResult traced = traced_runner.Run(&traced_store, &traced_rng);
 
-  EXPECT_EQ(testing::EveryField(traced), testing::EveryField(untraced));
+  EXPECT_EQ(EveryField(traced), EveryField(untraced));
   std::map<std::string, int> counts;
   for (const obs::Span& span : tracer.Collect()) ++counts[span.name];
   EXPECT_GT(counts["hgn-encode"], 0);

@@ -1,6 +1,7 @@
 #include "fl/runner.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -262,6 +263,32 @@ TEST(FlAlgorithmNameTest, Names) {
   EXPECT_STREQ(FlAlgorithmName(FlAlgorithm::kFedAvg), "FedAvg");
   EXPECT_STREQ(FlAlgorithmName(FlAlgorithm::kFedDaRestart), "FedDA-Restart");
   EXPECT_STREQ(FlAlgorithmName(FlAlgorithm::kFedDaExplore), "FedDA-Explore");
+}
+
+TEST(FirstFieldDifferenceTest, NamesTheFirstDifferingFieldOrEvent) {
+  FlRunResult a;
+  a.history.resize(2);
+  a.history[1].round = 1;
+  a.events.push_back(Event{0.5, EventKind::kArrival, 3, 1, 7});
+  FlRunResult b = a;
+  EXPECT_EQ(FirstFieldDifference(a, b), "");
+
+  // A straggler maximum and an event: fields that neither transport
+  // comparison checked before both compared every rendered line.
+  b.history[1].max_downlink_bytes = 9;
+  const std::string round_diff = FirstFieldDifference(a, b);
+  EXPECT_EQ(round_diff.rfind("line 5: ds=0 mds=0 db=0 mdb=0 ", 0), 0u)
+      << round_diff;
+  EXPECT_NE(round_diff.find("| ds=0 mds=0 db=0 mdb=9 "), std::string::npos)
+      << round_diff;
+
+  b = a;
+  b.events.back().client = 2;
+  EXPECT_EQ(FirstFieldDifference(a, b),
+            "line 6: arrival c3 r1 t=0.5 #7 | arrival c2 r1 t=0.5 #7");
+  b.events.clear();
+  EXPECT_EQ(FirstFieldDifference(a, b),
+            "line 6: arrival c3 r1 t=0.5 #7 | <none>");
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "core/string_util.h"
 #include "fl/experiment.h"
 #include "obs/trace.h"
-#include "tests/fl/every_field.h"
 
 namespace fedda::fl {
 namespace {
@@ -51,7 +50,7 @@ void ExpectIdenticalResults(const FlRunResult& a, const FlRunResult& b) {
   auto d = [](double x) { return core::StrFormat("%.17g", x); };
   EXPECT_EQ(d(a.final_auc), d(b.final_auc));
   EXPECT_EQ(d(a.final_mrr), d(b.final_mrr));
-  EXPECT_EQ(testing::EveryField(a), testing::EveryField(b));
+  EXPECT_EQ(EveryField(a), EveryField(b));
 }
 
 TEST(TraceDeterminismTest, TracedRunIsBitIdenticalSequential) {

@@ -263,33 +263,11 @@ void RunRemoteClient(const fl::FlOptions& options, const std::string& address,
   *out = client.Run();
 }
 
+/// Every RoundRecord field of every round and every event; final_auc and
+/// final_mrr are the last round's, and run totals sum the fields.
 void ExpectSameHistory(const fl::FlRunResult& remote,
                        const fl::FlRunResult& reference) {
-  ASSERT_EQ(remote.history.size(), reference.history.size());
-  for (size_t r = 0; r < remote.history.size(); ++r) {
-    const fl::RoundRecord& a = remote.history[r];
-    const fl::RoundRecord& b = reference.history[r];
-    EXPECT_EQ(a.auc, b.auc) << "round " << r;
-    EXPECT_EQ(a.mrr, b.mrr) << "round " << r;
-    EXPECT_EQ(a.mean_local_loss, b.mean_local_loss) << "round " << r;
-    EXPECT_EQ(a.participants, b.participants) << "round " << r;
-    EXPECT_EQ(a.uplink_groups, b.uplink_groups) << "round " << r;
-    EXPECT_EQ(a.uplink_scalars, b.uplink_scalars) << "round " << r;
-    EXPECT_EQ(a.uplink_bytes, b.uplink_bytes) << "round " << r;
-    EXPECT_EQ(a.max_uplink_bytes, b.max_uplink_bytes) << "round " << r;
-    EXPECT_EQ(a.downlink_bytes, b.downlink_bytes) << "round " << r;
-    EXPECT_EQ(a.downlink_scalars, b.downlink_scalars) << "round " << r;
-    EXPECT_EQ(a.active_after_round, b.active_after_round) << "round " << r;
-    EXPECT_EQ(a.departures, b.departures) << "round " << r;
-  }
-  EXPECT_EQ(remote.final_auc, reference.final_auc);
-  EXPECT_EQ(remote.final_mrr, reference.final_mrr);
-  for (int64_t fl::RoundRecord::*field :
-       {&fl::RoundRecord::uplink_bytes, &fl::RoundRecord::downlink_bytes,
-        &fl::RoundRecord::uplink_scalars}) {
-    EXPECT_EQ(fl::SumOver(remote.history, field),
-              fl::SumOver(reference.history, field));
-  }
+  EXPECT_EQ(fl::FirstFieldDifference(remote, reference), "");
 }
 
 /// Runs the reference in-process and then the same seeded experiment over

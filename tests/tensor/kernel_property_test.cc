@@ -20,16 +20,6 @@ namespace {
 
 namespace k = ::fedda::tensor::kernels;
 
-k::DispatchMode ModeFor(k::Path path) {
-  switch (path) {
-    case k::Path::kScalar:
-      return k::DispatchMode::kScalar;
-    case k::Path::kAvx2:
-      return k::DispatchMode::kAvx2;
-  }
-  return k::DispatchMode::kScalar;
-}
-
 std::vector<float> RandomData(int64_t n, core::Rng* rng) {
   std::vector<float> out(static_cast<size_t>(n));
   for (auto& v : out) {
@@ -58,7 +48,10 @@ class KernelPropertyTest : public ::testing::Test {
     const std::vector<float> expected = make_output(nullptr);
     core::ThreadPool pool(4);
     for (k::Path path : k::SupportedPaths()) {
-      k::SetDispatchMode(ModeFor(path));
+      // kAuto runs every supported path other than scalar.
+      k::SetDispatchMode(path == k::Path::kScalar ? k::DispatchMode::kScalar
+                                                  : k::DispatchMode::kAuto);
+      ASSERT_EQ(k::ActivePath(), path);
       ASSERT_TRUE(BitEqual(expected, make_output(nullptr)))
           << what << " diverged on " << k::PathName(path) << " (inline)";
       ASSERT_TRUE(BitEqual(expected, make_output(&pool)))

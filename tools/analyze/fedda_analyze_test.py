@@ -285,6 +285,24 @@ class FpContractTest(unittest.TestCase):
                  {"fp_contract_off": True}})
         self.assertEqual([], az.check_fp_contract(model))
 
+    def test_shared_loop_checked_per_including_tu(self):
+        # lane_kernels.inc is compiled into two TUs under two namespaces,
+        # so each inclusion is its own function and is held to the flags
+        # of the TU that includes it.
+        shared = "src/tensor/kernels/lane_kernels.inc"
+        model = model_of(
+            mkfn(name="AccumulateAxpy", usr="scalar::AccumulateAxpy",
+                 file=shared, tu="src/tensor/kernels/scalar.cc",
+                 contractions=[{"line": 40}]),
+            mkfn(name="AccumulateAxpy", usr="avx2::AccumulateAxpy",
+                 file=shared, tu="src/tensor/kernels/avx2.cc",
+                 contractions=[{"line": 40}]),
+            tus={"src/tensor/kernels/scalar.cc": {"fp_contract_off": True},
+                 "src/tensor/kernels/avx2.cc": {"fp_contract_off": False}})
+        findings = az.check_fp_contract(model)
+        self.assertEqual(["az-fp-contract"], rules_of(findings))
+        self.assertIn("src/tensor/kernels/avx2.cc", findings[0].message)
+
     def test_contraction_outside_kernels_ignored(self):
         model = model_of(
             mkfn(name="Loss", file="src/fl/client.cc",

@@ -59,7 +59,8 @@ sanitizer can catch these, only a static scan can):
 Hot-path rule:
 
   hot-checked-access       Bounds-checked `.at(` / `->at(` in
-                           src/tensor/ops.cc or src/tensor/kernels/*.cc.
+                           src/tensor/ops.cc or src/tensor/kernels/*.cc
+                           and *.inc (the loops shared by the kernel TUs).
                            These are the per-element training loops: each
                            op checks shapes once on entry and then indexes
                            data(); at() belongs to API and cold code
@@ -134,7 +135,8 @@ SIMD_INCLUDE_RE = re.compile(
     r'#\s*include\s*[<"](?:immintrin|x86intrin|xmmintrin|emmintrin|'
     r'smmintrin|avxintrin|arm_neon)\.h[>"]')
 
-# The hot tensor loops: ops.cc and every kernel TU directly under kernels/.
+# The hot tensor loops: ops.cc, every kernel TU directly under kernels/, and
+# the loop sources those TUs include.
 HOT_ACCESS_FILES = ("src/tensor/ops.cc",)
 HOT_ACCESS_DIR = "src/tensor/kernels/"
 CHECKED_ACCESS_RE = re.compile(r"(?:\.|->)\s*at\s*\(")
@@ -262,7 +264,9 @@ def src_files(root: Path):
     if not base.is_dir():
         return
     for path in sorted(base.rglob("*")):
-        if path.suffix in (".h", ".cc"):
+        # .inc: a loop source textually included by more than one TU
+        # (src/tensor/kernels/lane_kernels.inc), held to the same rules.
+        if path.suffix in (".h", ".cc", ".inc"):
             yield path
 
 
@@ -546,7 +550,8 @@ def check_hot_checked_access(root: Path, errors: list[Violation]) -> None:
     strings are stripped first, so mentioning at() is fine."""
     for path in src_files(root):
         rel = rel_posix(root, path)
-        in_kernels = (rel.startswith(HOT_ACCESS_DIR) and path.suffix == ".cc"
+        in_kernels = (rel.startswith(HOT_ACCESS_DIR)
+                      and path.suffix in (".cc", ".inc")
                       and "/" not in rel[len(HOT_ACCESS_DIR):])
         if rel not in HOT_ACCESS_FILES and not in_kernels:
             continue

@@ -156,6 +156,14 @@ class HotCheckedAccessRule(unittest.TestCase):
             "src/tensor/kernels/avx2.cc": "float v = p->at(i, 0);\n"})
         self.assertEqual(rules_of(errors), {"hot-checked-access"})
 
+    def test_at_flagged_in_shared_kernel_loops(self):
+        errors = lint({
+            "src/tensor/kernels/lane_kernels.inc":
+                "void F(float* dst, const T& t) {\n"
+                "  dst[0] += t.at(0, 0);\n}\n"})
+        self.assertEqual(rules_of(errors), {"hot-checked-access"})
+        self.assertIn("src/tensor/kernels/lane_kernels.inc:2", errors[0])
+
     def test_raw_indexing_passes(self):
         self.assertEqual(lint({
             "src/tensor/ops.cc":
